@@ -232,89 +232,114 @@ func (k PacketKind) String() string {
 	}
 }
 
-// Packet is one element in flight through the fabric.
+// Packet is one element in flight through the fabric. Every FIFO push and
+// pop copies one, so the fields are ordered widest first to pack it into
+// 24 bytes.
 type Packet struct {
-	Value float32
-	Kind  PacketKind
-	// VN identifies the virtual neuron / cluster the value belongs to.
-	VN int
 	// Seq is the element's position within its dot product or stream.
-	Seq int
+	Seq   int
+	Value float32
 	// Gen is the stationary-configuration generation. A weight packet with
 	// Gen != 0 lands in the switch's shadow register; an input packet with
 	// Gen != 0 promotes the matching shadow to the live stationary before
 	// multiplying — SIGMA-style double-buffered reconfiguration that lets
 	// consecutive rounds pipeline. Gen 0 is the barrier-synchronized dense
 	// path.
-	Gen uint32
+	Gen  uint32
+	Kind PacketKind
 	// Last marks the final contribution to an accumulation.
 	Last bool
 }
 
-// FIFO is a bounded queue of packets with push/pop activity accounting.
-// A zero-capacity FIFO is unbounded (used for result collection).
+// FIFO is a queue of packets with push/pop activity accounting, stored as
+// a ring. A bounded FIFO allocates its ring once, at capacity, and never
+// again; a zero-capacity FIFO is unbounded (used for result collection)
+// and doubles its ring when a push finds it full.
 type FIFO struct {
 	name     string
 	capacity int
-	buf      []Packet
-	head     int
+	ring     []Packet
+	head, n  int // oldest slot and occupancy
 
 	pushes, pops, maxOcc uint64
 }
 
+// unboundedInitCap is the first ring size of an unbounded FIFO.
+const unboundedInitCap = 8
+
 // NewFIFO returns a FIFO with the given capacity (0 = unbounded).
 func NewFIFO(name string, capacity int) *FIFO {
-	return &FIFO{name: name, capacity: capacity}
+	size := capacity
+	if capacity <= 0 {
+		capacity, size = 0, unboundedInitCap
+	}
+	return &FIFO{name: name, capacity: capacity, ring: make([]Packet, size)}
 }
 
 // Name returns the FIFO's instance name.
 func (f *FIFO) Name() string { return f.name }
 
 // Len returns the current occupancy.
-func (f *FIFO) Len() int { return len(f.buf) - f.head }
+func (f *FIFO) Len() int { return f.n }
 
 // Full reports whether a push would be rejected.
-func (f *FIFO) Full() bool { return f.capacity > 0 && f.Len() >= f.capacity }
+func (f *FIFO) Full() bool { return f.capacity > 0 && f.n >= f.capacity }
 
 // Empty reports whether the FIFO holds no packets.
-func (f *FIFO) Empty() bool { return f.Len() == 0 }
+func (f *FIFO) Empty() bool { return f.n == 0 }
 
 // Push enqueues p; it returns false (and drops nothing) when full.
 func (f *FIFO) Push(p Packet) bool {
-	if f.Full() {
-		return false
+	if f.n == len(f.ring) {
+		if f.capacity > 0 {
+			return false
+		}
+		f.grow()
 	}
-	f.buf = append(f.buf, p)
+	tail := f.head + f.n
+	if tail >= len(f.ring) {
+		tail -= len(f.ring)
+	}
+	f.ring[tail] = p
+	f.n++
 	f.pushes++
-	if occ := uint64(f.Len()); occ > f.maxOcc {
+	if occ := uint64(f.n); occ > f.maxOcc {
 		f.maxOcc = occ
 	}
 	return true
 }
 
+// grow doubles an unbounded FIFO's ring, unwrapping it so the oldest
+// packet lands in slot 0.
+func (f *FIFO) grow() {
+	ring := make([]Packet, 2*len(f.ring))
+	k := copy(ring, f.ring[f.head:])
+	copy(ring[k:], f.ring[:f.head])
+	f.ring = ring
+	f.head = 0
+}
+
 // Pop dequeues the oldest packet; ok is false when empty.
 func (f *FIFO) Pop() (p Packet, ok bool) {
-	if f.Empty() {
+	if f.n == 0 {
 		return Packet{}, false
 	}
-	p = f.buf[f.head]
+	p = f.ring[f.head]
 	f.head++
-	f.pops++
-	// Compact occasionally so the backing array does not grow unboundedly.
-	if f.head > 64 && f.head*2 >= len(f.buf) {
-		n := copy(f.buf, f.buf[f.head:])
-		f.buf = f.buf[:n]
+	if f.head == len(f.ring) {
 		f.head = 0
 	}
+	f.n--
+	f.pops++
 	return p, true
 }
 
 // Peek returns the oldest packet without removing it.
 func (f *FIFO) Peek() (p Packet, ok bool) {
-	if f.Empty() {
+	if f.n == 0 {
 		return Packet{}, false
 	}
-	return f.buf[f.head], true
+	return f.ring[f.head], true
 }
 
 // Stats reports lifetime pushes, pops and the high-water occupancy.

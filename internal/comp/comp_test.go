@@ -83,7 +83,7 @@ func TestFIFOUnbounded(t *testing.T) {
 }
 
 // Property: a FIFO preserves order and never loses packets, including
-// through the internal compaction path.
+// across ring wrap-around and growth.
 func TestFIFOOrderProperty(t *testing.T) {
 	f := func(ops []bool) bool {
 		fifo := NewFIFO("p", 0)
@@ -118,7 +118,8 @@ func TestFIFOOrderProperty(t *testing.T) {
 
 func TestFIFOCompaction(t *testing.T) {
 	f := NewFIFO("c", 0)
-	// Interleave enough pushes/pops to trigger the head>64 compaction.
+	// Grow the ring with a long push run, drain most of it, then push
+	// again so the tail wraps past the head.
 	for i := 0; i < 500; i++ {
 		f.Push(Packet{Seq: i})
 	}
@@ -136,6 +137,84 @@ func TestFIFOCompaction(t *testing.T) {
 		if !ok || p.Seq != i {
 			t.Fatalf("post-compaction pop %d: %v %v", i, p, ok)
 		}
+	}
+}
+
+// TestFIFORingWrap drives a bounded FIFO around its ring many times with
+// every occupancy pattern: order, Len, Full and Empty must hold across the
+// wrap, and the ring is never reallocated.
+func TestFIFORingWrap(t *testing.T) {
+	const depth = 3
+	f := NewFIFO("w", depth)
+	ring := &f.ring[0]
+	next, want := 0, 0
+	for round := 0; round < 20; round++ {
+		fill := 1 + round%depth // 1..depth packets per round
+		for i := 0; i < fill; i++ {
+			if !f.Push(Packet{Seq: next}) {
+				t.Fatalf("round %d: push %d rejected at len %d", round, next, f.Len())
+			}
+			next++
+		}
+		if f.Len() != fill || f.Empty() || f.Full() != (fill == depth) {
+			t.Fatalf("round %d: len %d empty %v full %v after %d pushes", round, f.Len(), f.Empty(), f.Full(), fill)
+		}
+		if fill == depth && f.Push(Packet{Seq: -1}) {
+			t.Fatalf("round %d: push accepted into a full ring", round)
+		}
+		for i := 0; i < fill; i++ {
+			p, ok := f.Pop()
+			if !ok || p.Seq != want {
+				t.Fatalf("round %d: pop got %v %v, want seq %d", round, p, ok, want)
+			}
+			want++
+		}
+		if !f.Empty() || f.Len() != 0 {
+			t.Fatalf("round %d: not empty after draining", round)
+		}
+	}
+	if &f.ring[0] != ring || len(f.ring) != depth {
+		t.Error("bounded FIFO reallocated its ring")
+	}
+	pushes, pops, maxOcc := f.Stats()
+	if pushes != uint64(next) || pops != uint64(want) || maxOcc != depth {
+		t.Errorf("stats %d/%d/%d, want %d/%d/%d", pushes, pops, maxOcc, next, want, depth)
+	}
+}
+
+// TestFIFOUnboundedGrowAcrossWrap grows a capacity-0 FIFO while its ring
+// is wrapped: the doubling must unwrap the packets in order.
+func TestFIFOUnboundedGrowAcrossWrap(t *testing.T) {
+	f := NewFIFO("g", 0)
+	next, want := 0, 0
+	for i := 0; i < 6; i++ { // head moves off slot 0
+		f.Push(Packet{Seq: next})
+		next++
+	}
+	for i := 0; i < 5; i++ {
+		f.Pop()
+		want++
+	}
+	for i := 0; i < 40; i++ { // wraps, then grows twice
+		if !f.Push(Packet{Seq: next}) {
+			t.Fatal("unbounded FIFO rejected a push")
+		}
+		next++
+	}
+	if f.Full() || f.Len() != next-want {
+		t.Fatalf("len %d full %v, want len %d", f.Len(), f.Full(), next-want)
+	}
+	for ; want < next; want++ {
+		if p, ok := f.Pop(); !ok || p.Seq != want {
+			t.Fatalf("pop got %v %v, want seq %d", p, ok, want)
+		}
+	}
+	if _, ok := f.Pop(); ok || !f.Empty() {
+		t.Error("drained FIFO still pops")
+	}
+	pushes, pops, maxOcc := f.Stats()
+	if pushes != 46 || pops != 46 || maxOcc != 41 {
+		t.Errorf("stats %d/%d/%d, want 46/46/41", pushes, pops, maxOcc)
 	}
 }
 

@@ -70,9 +70,11 @@ type base struct {
 	bandwidth int
 	sink      Sink
 	probe     Prober
-	queue     []Delivery
-	head      int // consumed prefix of queue (head-indexed pop)
-	counters  *comp.Counters
+	// queue is the injection queue, a ring allocated once at queueCap:
+	// deliveries [head, head+qn) modulo queueCap are waiting.
+	queue    []Delivery
+	head, qn int
+	counters *comp.Counters
 
 	// Pre-resolved counter handles shared by all DN kinds (per-cycle path).
 	cStalls, cInjections, cActive comp.Counter
@@ -83,6 +85,7 @@ func newBase(name string, leaves, bandwidth int, c *comp.Counters) base {
 		name:        name,
 		leaves:      leaves,
 		bandwidth:   bandwidth,
+		queue:       make([]Delivery, queueCap),
 		counters:    c,
 		cStalls:     c.Counter(names.DNStallCycles),
 		cInjections: c.Counter(names.DNInjections),
@@ -95,25 +98,28 @@ func (b *base) Offer(d Delivery) bool {
 	if len(d.Dests) == 0 {
 		return true // nothing to deliver
 	}
-	if b.qlen() >= queueCap {
+	if b.qn == queueCap {
 		return false
 	}
-	b.queue = append(b.queue, d)
+	tail := b.head + b.qn
+	if tail >= queueCap {
+		tail -= queueCap
+	}
+	b.queue[tail] = d
+	b.qn++
 	return true
 }
-func (b *base) Pending() int       { return b.qlen() }
+func (b *base) Pending() int       { return b.qn }
 func (b *base) SetSink(s Sink)     { b.sink = s }
 func (b *base) SetProber(p Prober) { b.probe = p }
 func (b *base) Bandwidth() int     { return b.bandwidth }
-
-func (b *base) qlen() int { return len(b.queue) - b.head }
 
 // Lookahead implements comp.Lookahead for every DN kind: with an empty
 // injection queue a distribution network's Cycle is a pure no-op (no
 // deliveries, no counters), so an idle network never bounds a fast-forward
 // skip; with queued work it must tick.
 func (b *base) Lookahead() uint64 {
-	if b.qlen() == 0 {
+	if b.qn == 0 {
 		return comp.Unbounded
 	}
 	return 0
@@ -123,16 +129,16 @@ func (b *base) Lookahead() uint64 {
 // state, so skipped cycles replay as nothing at all.
 func (b *base) Advance(uint64) {}
 
-// qpop removes the head delivery without giving up the queue's backing
-// array; the zeroed slot releases the Dests slice for the collector.
+// qpop removes the head delivery. The slot keeps its Dests slice until
+// overwritten: destination sets are immutable tables owned by the source
+// (see sim.Source), so holding one pins nothing the run does not already
+// hold.
 func (b *base) qpop() {
-	b.queue[b.head] = Delivery{}
 	b.head++
-	if b.head > 64 && b.head*2 >= len(b.queue) {
-		n := copy(b.queue, b.queue[b.head:])
-		b.queue = b.queue[:n]
+	if b.head == queueCap {
 		b.head = 0
 	}
+	b.qn--
 }
 
 func (b *base) deliverAll(d Delivery) bool {
@@ -188,7 +194,7 @@ func NewTree(leaves, bandwidth int, c *comp.Counters) *Tree {
 // sliding-window forwarding at the validation tile.)
 func (t *Tree) Cycle() {
 	n := 0
-	for n < t.bandwidth && t.qlen() > 0 {
+	for n < t.bandwidth && t.qn > 0 {
 		d := t.queue[t.head]
 		if !t.deliverAll(d) {
 			t.cStalls.Add(1)
@@ -263,7 +269,7 @@ func NewBenes(leaves, bandwidth int, c *comp.Counters) *Benes {
 // fan-out across cycles.
 func (b *Benes) Cycle() {
 	n := 0
-	for n < b.bandwidth && b.qlen() > 0 {
+	for n < b.bandwidth && b.qn > 0 {
 		d := b.queue[b.head]
 		for b.partial < len(d.Dests) && n < b.bandwidth {
 			ms := d.Dests[b.partial]
@@ -327,7 +333,7 @@ func NewPointToPoint(leaves, bandwidth int, c *comp.Counters) *PointToPoint {
 // one unicast per destination.
 func (p *PointToPoint) Cycle() {
 	n := 0
-	for n < p.bandwidth && p.qlen() > 0 {
+	for n < p.bandwidth && p.qn > 0 {
 		d := p.queue[p.head]
 		for p.partial < len(d.Dests) && n < p.bandwidth {
 			ms := d.Dests[p.partial]

@@ -32,7 +32,11 @@ type flexRun struct {
 	rnet *rn.Net
 	src  sim.Source
 
-	cur      *sim.WorkItem
+	// cur is the work item being issued (valid while hasCur). Its slices
+	// are the source's scratch: every delivery and job is copied out
+	// before the next Next call overwrites them.
+	cur      sim.WorkItem
+	hasCur   bool
 	curDeliv int
 	issued   bool // some deliveries of cur already offered
 	srcDone  bool
@@ -167,13 +171,13 @@ func (f *flexRun) ctrlCycle() {
 
 	// 2. Issue schedule items.
 	for {
-		if f.cur == nil {
+		if !f.hasCur {
 			item, ok := f.src.Next()
 			if !ok {
 				f.srcDone = true
 				return
 			}
-			f.cur = &item
+			f.cur, f.hasCur = item, true
 			f.curDeliv = 0
 			f.issued = false
 		}
@@ -222,7 +226,7 @@ func (f *flexRun) ctrlCycle() {
 			f.pending[j.VN] = append(f.pending[j.VN], j)
 			f.pendingJobs++
 		}
-		f.cur = nil
+		f.hasCur = false
 	}
 }
 
@@ -251,7 +255,7 @@ func (f *flexRun) lookahead() uint64 {
 	if f.fatal != nil || f.pendingJobs != 0 {
 		return 0
 	}
-	if f.cur == nil {
+	if !f.hasCur {
 		if f.srcDone {
 			return sim.Unbounded
 		}
@@ -274,7 +278,7 @@ func (f *flexRun) lookahead() uint64 {
 // dram-wait cycle and one DRAM stall event; in the exhausted-source state a
 // ticked cycle touches nothing.
 func (f *flexRun) advance(n uint64) {
-	if f.cur == nil {
+	if !f.hasCur {
 		return
 	}
 	f.cDramWait.Add(n)
@@ -282,7 +286,7 @@ func (f *flexRun) advance(n uint64) {
 }
 
 func (f *flexRun) done() bool {
-	return f.srcDone && f.cur == nil && f.pendingJobs == 0 &&
+	return f.srcDone && !f.hasCur && f.pendingJobs == 0 &&
 		f.completed >= f.expected &&
 		f.dnet.Pending() == 0 && f.rnet.Drained() && f.marr.Idle()
 }
@@ -304,7 +308,7 @@ func (f *flexRun) run() error {
 		Progress:  func() int { return f.completed },
 		Waiting:   func() uint64 { return f.cDramWait.Value() },
 		Err:       func() error { return f.fatal },
-		Draining:  func() bool { return f.srcDone && f.cur == nil },
+		Draining:  func() bool { return f.srcDone && !f.hasCur },
 		Deadlock:  f.deadlock,
 		Lookahead: f.lookahead,
 		Advance:   f.advance,
@@ -330,7 +334,22 @@ type gemmSource struct {
 
 	panelCols int // columns per panel (accumulation-buffer bound)
 
-	mblocks, panels, groupsPerPanel int
+	mblocks, panels, groupsPerPanel, folds int
+
+	// Immutable destination tables (see sim.Source), built once at
+	// construction. weightDests[i·KSlice+p] holds the TN column replicas
+	// of row i's slice element p. streamDests[v][j·KSlice+p] holds the
+	// row switches of column replica j that consume B element p: v = 0
+	// for a full row block, v = 1 for the last block when M leaves it
+	// partial.
+	weightDests [][]int
+	streamDests [2][][]int
+
+	// Work-item scratch, sized for the largest item and overwritten by
+	// every Next.
+	reload []int
+	deliv  []dn.Delivery
+	jobs   []sim.JobSpec
 
 	// iteration state
 	mb, panel, fold, ng int
@@ -356,7 +375,40 @@ func newGEMMSource(A, B *tensor.Tensor, t mapper.GEMMTile) *gemmSource {
 	g.mblocks = ceilDiv(m, t.TM)
 	g.panels = ceilDiv(n, g.panelCols)
 	g.groupsPerPanel = ceilDiv(g.panelCols, t.TN)
+	g.folds = ceilDiv(k, t.KSlice)
+
+	lastRows := m - (g.mblocks-1)*t.TM
+	g.weightDests = destTable(t.TM*t.KSlice, t.TN, func(e, j int) int {
+		return g.ms(e/t.KSlice, j, e%t.KSlice)
+	})
+	g.streamDests[0] = destTable(t.TN*t.KSlice, t.TM, func(e, i int) int {
+		return g.ms(i, e/t.KSlice, e%t.KSlice)
+	})
+	g.streamDests[1] = destTable(t.TN*t.KSlice, lastRows, func(e, i int) int {
+		return g.ms(i, e/t.KSlice, e%t.KSlice)
+	})
+
+	g.reload = make([]int, t.TM*t.KSlice*t.TN)
+	g.deliv = make([]dn.Delivery, max(t.TM, t.TN)*t.KSlice)
+	g.jobs = make([]sim.JobSpec, t.TM*t.TN)
 	return g
+}
+
+// destTable builds entries immutable destination sets of width switches
+// each, dest(e, w) naming the w-th switch of entry e, over one shared
+// backing array. Every set is capped at its length, so an append by a
+// consumer could never write into a neighbour.
+func destTable(entries, width int, dest func(e, w int) int) [][]int {
+	flat := make([]int, entries*width)
+	table := make([][]int, entries)
+	for e := range table {
+		set := flat[e*width : (e+1)*width : (e+1)*width]
+		for w := range set {
+			set[w] = dest(e, w)
+		}
+		table[e] = set
+	}
+	return table
 }
 
 // expectedOutputs is the number of C elements the schedule will produce.
@@ -365,25 +417,14 @@ func (g *gemmSource) expectedOutputs() int { return g.m * g.n }
 // vns returns the VN membership: VN (i,j) = i·TN + j occupies KSlice
 // consecutive switches.
 func (g *gemmSource) vns() [][]int {
-	vns := make([][]int, g.t.TM*g.t.TN)
-	for v := range vns {
-		members := make([]int, g.t.KSlice)
-		for p := range members {
-			members[p] = v*g.t.KSlice + p
-		}
-		vns[v] = members
-	}
-	return vns
+	return destTable(g.t.TM*g.t.TN, g.t.KSlice, func(v, p int) int { return v*g.t.KSlice + p })
 }
 
 func (g *gemmSource) ms(i, j, p int) int { return (i*g.t.TN+j)*g.t.KSlice + p }
 
-// Next builds the next work item of the GEMM schedule. Building an item
-// allocates its delivery lists, but an item then occupies the fabric for
-// many cycles while the source sits idle, so the cost is amortized per
-// work item rather than paid per tick.
-//
-//lint:ignore hotpathalloc work-item construction is amortized over the many cycles the item occupies the fabric
+// Next builds the next work item of the GEMM schedule into the source's
+// scratch: values are read from the operands, destination sets come from
+// the immutable tables.
 func (g *gemmSource) Next() (sim.WorkItem, bool) {
 	if g.exhausted {
 		return sim.WorkItem{}, false
@@ -391,71 +432,61 @@ func (g *gemmSource) Next() (sim.WorkItem, bool) {
 	t := g.t
 	k0 := g.fold * t.KSlice
 	kw := min(t.KSlice, g.k-k0)
+	rows := min(t.TM, g.m-g.mb*t.TM) // valid rows of this block
 
 	if g.phase == 0 {
 		// Weight load for (mb, fold): row slices A[mi, k0:k0+kw],
 		// multicast across the TN column replicas.
-		item := sim.WorkItem{Barrier: true}
-		for i := 0; i < t.TM; i++ {
+		nd, nr := 0, 0
+		for i := 0; i < rows; i++ {
 			mi := g.mb*t.TM + i
-			if mi >= g.m {
-				continue
-			}
 			for p := 0; p < kw; p++ {
-				dests := make([]int, 0, t.TN)
-				for j := 0; j < t.TN; j++ {
-					dests = append(dests, g.ms(i, j, p))
-				}
-				item.ReloadSet = append(item.ReloadSet, dests...)
-				item.Deliveries = append(item.Deliveries, dn.Delivery{
+				dests := g.weightDests[i*t.KSlice+p]
+				nr += copy(g.reload[nr:], dests)
+				g.deliv[nd] = dn.Delivery{
 					Pkt:   comp.Packet{Value: g.A.At(mi, k0+p), Kind: comp.WeightPkt},
 					Dests: dests,
-				})
+				}
+				nd++
 			}
 		}
-		// Prefetch the next fold's weights while this fold computes.
-		item.Prefetch = t.TM * t.KSlice
 		g.phase = 1
 		g.ng = 0
-		return item, true
+		// Prefetch the next fold's weights while this fold computes.
+		return sim.WorkItem{
+			Barrier:    true,
+			ReloadSet:  g.reload[:nr],
+			Prefetch:   t.TM * t.KSlice,
+			Deliveries: g.deliv[:nd],
+		}, true
 	}
 
 	// Stream one column group.
+	streamDests := g.streamDests[0]
+	if rows < t.TM {
+		streamDests = g.streamDests[1]
+	}
 	colBase := g.panel*g.panelCols + g.ng*t.TN
-	item := sim.WorkItem{}
+	colEnd := min(g.n, (g.panel+1)*g.panelCols)
 	seq := g.seq
 	g.seq++
-	for j := 0; j < t.TN; j++ {
-		nj := colBase + j
-		if nj >= g.n || nj >= (g.panel+1)*g.panelCols {
-			continue
-		}
+	nd, nj := 0, 0
+	for j := 0; j < t.TN && colBase+j < colEnd; j++ {
+		col := colBase + j
 		for p := 0; p < kw; p++ {
-			dests := make([]int, 0, t.TM)
-			for i := 0; i < t.TM; i++ {
-				if g.mb*t.TM+i >= g.m {
-					continue
-				}
-				dests = append(dests, g.ms(i, j, p))
+			g.deliv[nd] = dn.Delivery{
+				Pkt:   comp.Packet{Value: g.B.At(k0+p, col), Kind: comp.InputPkt, Seq: seq},
+				Dests: streamDests[j*t.KSlice+p],
 			}
-			if len(dests) == 0 {
-				continue
-			}
-			item.Deliveries = append(item.Deliveries, dn.Delivery{
-				Pkt:   comp.Packet{Value: g.B.At(k0+p, nj), Kind: comp.InputPkt, Seq: seq},
-				Dests: dests,
-			})
+			nd++
 		}
-		for i := 0; i < t.TM; i++ {
-			mi := g.mb*t.TM + i
-			if mi >= g.m {
-				continue
-			}
-			item.Jobs = append(item.Jobs, sim.JobSpec{
+		for i := 0; i < rows; i++ {
+			g.jobs[nj] = sim.JobSpec{
 				VN: i*t.TN + j, Seq: seq, Expect: kw,
-				OutIdx: mi*g.n + nj,
-				Last:   g.fold == ceilDiv(g.k, t.KSlice)-1,
-			})
+				OutIdx: (g.mb*t.TM+i)*g.n + col,
+				Last:   g.fold == g.folds-1,
+			}
+			nj++
 		}
 	}
 
@@ -465,7 +496,7 @@ func (g *gemmSource) Next() (sim.WorkItem, bool) {
 		g.ng = 0
 		g.fold++
 		g.phase = 0
-		if g.fold >= ceilDiv(g.k, t.KSlice) {
+		if g.fold >= g.folds {
 			g.fold = 0
 			g.panel++
 			if g.panel >= g.panels {
@@ -477,7 +508,7 @@ func (g *gemmSource) Next() (sim.WorkItem, bool) {
 			}
 		}
 	}
-	return item, true
+	return sim.WorkItem{Deliveries: g.deliv[:nd], Jobs: g.jobs[:nj]}, true
 }
 
 // RunGEMM simulates a dense GEMM on the tree-based flexible fabric (the

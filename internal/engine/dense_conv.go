@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/comp"
 	"repro/internal/dn"
@@ -28,6 +29,19 @@ type convSource struct {
 	// consecutive oy positions at one ox.
 	groupsPerRow, panelGroups, panels int
 
+	// Immutable destination tables (see sim.Source), built once at
+	// construction. weightDests[kk·VNSize+p] holds the TYp position
+	// replicas of filter kk's slice element p; steps holds one template
+	// per step shape.
+	weightDests [][]int
+	steps       []convStep
+
+	// Work-item scratch, sized for the largest item and overwritten by
+	// every Next.
+	reload []int
+	deliv  []dn.Delivery
+	jobs   []sim.JobSpec
+
 	// iteration state
 	g, mb, panel, fold, grp int
 	phase                   int // 0 = weight load, 1 = stream
@@ -37,15 +51,35 @@ type convSource struct {
 	prevOx     int
 	forwarding bool
 
-	// Stamp-based coordinate dedup (allocation-free hot path): seen[idx]
-	// holds the generation (seq+1) a coordinate was last needed in;
-	// slot[idx] its delivery index within the current step. A coordinate
-	// whose stamp equals the previous step's generation was just
-	// delivered and can ride the forwarding links.
+	// seen[idx] holds the generation (seq+1) input coordinate idx was last
+	// delivered in. A coordinate whose stamp equals the previous step's
+	// generation was just delivered and can ride the forwarding links.
 	seen   []uint32
-	slot   []int32
 	coordW int // padded row width (Y + 2·padding)
 	coordH int // padded column count (X + 2·padding)
+}
+
+// convStep is the template of one output-position-group step for one
+// shape: cw channels in the fold, rows valid output positions, filt valid
+// filters. Which input coordinates a step touches, and which switches
+// each one feeds, depend only on that shape — not on where the group sits
+// in the output — so the destination sets are computed once.
+type convStep struct {
+	cw, rows, filt int
+	// coords lists the step's distinct input coordinates in first-use
+	// order (ty outer, member p inner), each with its multicast set.
+	coords []convCoord
+	// expect is the product count every job of the step waits for: one
+	// per member switch with a valid channel slice.
+	expect int
+}
+
+// convCoord locates one input coordinate relative to the step: channel
+// tc of the fold, filter row tr, and column off = ty·stride + ts past the
+// group's first input column.
+type convCoord struct {
+	tc, tr, off int
+	dests       []int
 }
 
 var _ sim.Source = (*convSource)(nil)
@@ -61,9 +95,7 @@ func newConvSource(in, w *tensor.Tensor, cs tensor.ConvShape, t mapper.Tile, for
 		coordH:     cs.X + 2*cs.Padding,
 		coordW:     cs.Y + 2*cs.Padding,
 	}
-	cells := cs.C * c.coordH * c.coordW
-	c.seen = make([]uint32, cells)
-	c.slot = make([]int32, cells)
+	c.seen = make([]uint32, cs.C*c.coordH*c.coordW)
 	c.groupsPerRow = ceilDiv(c.yo, t.TYp)
 	totalGroups := c.xo * c.groupsPerRow
 	c.panelGroups = sim.MaxAccEntries / (t.TK * t.TYp)
@@ -74,7 +106,76 @@ func newConvSource(in, w *tensor.Tensor, cs tensor.ConvShape, t mapper.Tile, for
 		c.panelGroups = totalGroups
 	}
 	c.panels = ceilDiv(totalGroups, c.panelGroups)
+
+	c.weightDests = destTable(t.TK*t.VNSize, t.TYp, func(e, ty int) int {
+		return c.ms(e/t.VNSize, ty, e%t.VNSize)
+	})
+	// Every step shape the iteration can reach: the channel count of each
+	// fold, a full or tail group of output positions, a full or tail
+	// block of filters.
+	for _, cw := range distinct(c.folds, func(f int) int { return c.foldChannels(f) }) {
+		for _, rows := range distinct(c.groupsPerRow, func(gi int) int { return min(t.TYp, c.yo-gi*t.TYp) }) {
+			for _, filt := range distinct(c.mblocks(), func(mb int) int { return min(t.TK, c.kg-mb*t.TK) }) {
+				c.steps = append(c.steps, c.buildStep(cw, rows, filt))
+			}
+		}
+	}
+
+	c.reload = make([]int, t.TK*t.VNSize*t.TYp)
+	c.deliv = make([]dn.Delivery, max(t.TK, t.TYp)*t.VNSize)
+	c.jobs = make([]sim.JobSpec, t.TK*t.TYp)
 	return c
+}
+
+// distinct returns the distinct values of f over [0, n) in first-seen
+// order.
+func distinct(n int, f func(int) int) []int {
+	var vals []int
+	for i := 0; i < n; i++ {
+		if v := f(i); !slices.Contains(vals, v) {
+			vals = append(vals, v)
+		}
+	}
+	return vals
+}
+
+// buildStep computes the step template of one shape: the coordinates are
+// grouped for multicast in the order the members first need them, and
+// each coordinate feeds member p of VN (kk, ty) for every valid filter kk.
+func (c *convSource) buildStep(cw, rows, filt int) convStep {
+	t := c.t
+	st := convStep{cw: cw, rows: rows, filt: filt}
+	type key struct{ tc, tr, off int }
+	index := map[key]int{}
+	var members [][]int
+	for ty := 0; ty < rows; ty++ {
+		for p := 0; p < t.VNSize; p++ {
+			tc, tr, ts := c.decode(p)
+			if tc >= cw {
+				continue
+			}
+			k := key{tc, tr, ty*c.cs.Stride + ts}
+			e, ok := index[k]
+			if !ok {
+				e = len(st.coords)
+				index[k] = e
+				st.coords = append(st.coords, convCoord{tc: k.tc, tr: k.tr, off: k.off})
+				members = append(members, nil)
+			}
+			for kk := 0; kk < filt; kk++ {
+				members[e] = append(members[e], c.ms(kk, ty, p))
+			}
+		}
+	}
+	for e := range st.coords {
+		st.coords[e].dests = slices.Clip(members[e])
+	}
+	for p := 0; p < t.VNSize; p++ {
+		if tc, _, _ := c.decode(p); tc < cw {
+			st.expect++
+		}
+	}
+	return st
 }
 
 func (c *convSource) expectedOutputs() int {
@@ -83,15 +184,7 @@ func (c *convSource) expectedOutputs() int {
 
 // vns lays VN (kk, ty) = kk·TYp + ty over consecutive switch ranges.
 func (c *convSource) vns() [][]int {
-	vns := make([][]int, c.t.TK*c.t.TYp)
-	for v := range vns {
-		members := make([]int, c.t.VNSize)
-		for p := range members {
-			members[p] = v*c.t.VNSize + p
-		}
-		vns[v] = members
-	}
-	return vns
+	return destTable(c.t.TK*c.t.TYp, c.t.VNSize, func(v, p int) int { return v*c.t.VNSize + p })
 }
 
 func (c *convSource) ms(kk, ty, p int) int { return (kk*c.t.TYp+ty)*c.t.VNSize + p }
@@ -106,135 +199,109 @@ func (c *convSource) decode(p int) (tc, tr, ts int) {
 
 func (c *convSource) mblocks() int { return ceilDiv(c.kg, c.t.TK) }
 
-// Next builds the next work item of the convolution schedule; like the
-// GEMM source, the per-item delivery-list allocations are amortized over
-// the many cycles the item keeps the fabric busy.
-//
-//lint:ignore hotpathalloc work-item construction is amortized over the many cycles the item occupies the fabric
+// foldChannels is the channel count of fold f.
+func (c *convSource) foldChannels(f int) int { return min(c.t.TC, c.cg-f*c.t.TC) }
+
+// step returns the template of the given shape.
+func (c *convSource) step(cw, rows, filt int) *convStep {
+	for i := range c.steps {
+		if st := &c.steps[i]; st.cw == cw && st.rows == rows && st.filt == filt {
+			return st
+		}
+	}
+	panic("engine: conv step shape missing from the template table")
+}
+
+// Next builds the next work item of the convolution schedule into the
+// source's scratch: values are read from the operands, destination sets
+// come from the immutable tables.
 func (c *convSource) Next() (sim.WorkItem, bool) {
 	if c.exhausted {
 		return sim.WorkItem{}, false
 	}
 	t := c.t
-	cw := min(t.TC, c.cg-c.fold*t.TC) // channels in this fold
+	cw := c.foldChannels(c.fold)
+	filt := min(t.TK, c.kg-c.mb*t.TK) // valid filters of this block
 
 	if c.phase == 0 {
 		// Weight load for (g, mb, fold): each filter's slice multicast to
 		// its TYp position replicas.
-		item := sim.WorkItem{Barrier: true}
-		for kk := 0; kk < t.TK; kk++ {
+		nd, nr := 0, 0
+		for kk := 0; kk < filt; kk++ {
 			kfull := c.g*c.kg + c.mb*t.TK + kk
-			if c.mb*t.TK+kk >= c.kg {
-				continue
-			}
 			for p := 0; p < t.VNSize; p++ {
 				tc, tr, ts := c.decode(p)
 				if tc >= cw {
 					continue
 				}
-				dests := make([]int, 0, t.TYp)
-				for ty := 0; ty < t.TYp; ty++ {
-					dests = append(dests, c.ms(kk, ty, p))
-				}
-				item.ReloadSet = append(item.ReloadSet, dests...)
-				item.Deliveries = append(item.Deliveries, dn.Delivery{
+				dests := c.weightDests[kk*t.VNSize+p]
+				nr += copy(c.reload[nr:], dests)
+				c.deliv[nd] = dn.Delivery{
 					Pkt: comp.Packet{
 						Value: c.w.At(kfull, c.fold*t.TC+tc, tr, ts),
 						Kind:  comp.WeightPkt,
 					},
 					Dests: dests,
-				})
+				}
+				nd++
 			}
 		}
-		item.Prefetch = t.TK * t.VNSize
 		c.phase = 1
 		c.prevOx = -1 // a reload breaks the sliding-window reuse chain
-		return item, true
+		return sim.WorkItem{
+			Barrier:    true,
+			ReloadSet:  c.reload[:nr],
+			Prefetch:   t.TK * t.VNSize,
+			Deliveries: c.deliv[:nd],
+		}, true
 	}
 
 	// Stream one output position group.
 	grpAbs := c.panel*c.panelGroups + c.grp
 	ox := grpAbs / c.groupsPerRow
 	oyBase := (grpAbs % c.groupsPerRow) * t.TYp
+	st := c.step(cw, min(t.TYp, c.yo-oyBase), filt)
 
-	item := sim.WorkItem{}
 	seq := c.seq
 	c.seq++
-
-	// Group needed elements by coordinate for multicast, preserving a
-	// deterministic order. The stamp arrays make the dedup allocation-free
-	// (this loop runs once per compute step, dominating full-model runs).
 	curGen := uint32(seq) + 1
 	prevGen := curGen - 1
 	sameRow := c.forwarding && c.prevOx == ox
-	expect := make([]int, t.TK*t.TYp)
-
-	for ty := 0; ty < t.TYp; ty++ {
-		oy := oyBase + ty
-		if oy >= c.yo {
-			continue
+	pad := c.cs.Padding
+	for e := range st.coords {
+		co := &st.coords[e]
+		cc := c.g*c.cg + c.fold*t.TC + co.tc
+		ix := ox*c.cs.Stride + co.tr - pad
+		iy := oyBase*c.cs.Stride + co.off - pad
+		idx := (cc*c.coordH+ix+pad)*c.coordW + iy + pad
+		reused := sameRow && c.seen[idx] == prevGen
+		c.seen[idx] = curGen
+		var v float32
+		if ix >= 0 && ix < c.cs.X && iy >= 0 && iy < c.cs.Y {
+			v = c.in.At(0, cc, ix, iy)
 		}
-		for p := 0; p < t.VNSize; p++ {
-			tc, tr, ts := c.decode(p)
-			if tc >= cw {
-				continue
-			}
-			cc := c.g*c.cg + c.fold*t.TC + tc
-			ix := ox*c.cs.Stride + tr - c.cs.Padding
-			iy := oy*c.cs.Stride + ts - c.cs.Padding
-			idx := (cc*c.coordH+ix+c.cs.Padding)*c.coordW + iy + c.cs.Padding
-			var slot int32
-			if c.seen[idx] != curGen {
-				reused := sameRow && c.seen[idx] == prevGen
-				c.seen[idx] = curGen
-				slot = int32(len(item.Deliveries))
-				c.slot[idx] = slot
-				var v float32
-				if ix >= 0 && ix < c.cs.X && iy >= 0 && iy < c.cs.Y {
-					v = c.in.At(0, cc, ix, iy)
-				}
-				item.Deliveries = append(item.Deliveries, dn.Delivery{
-					Pkt:     comp.Packet{Value: v, Kind: comp.InputPkt, Seq: seq},
-					Forward: reused,
-				})
-			} else {
-				slot = c.slot[idx]
-			}
-			d := &item.Deliveries[slot]
-			for kk := 0; kk < t.TK; kk++ {
-				if c.mb*t.TK+kk >= c.kg {
-					continue
-				}
-				d.Dests = append(d.Dests, c.ms(kk, ty, p))
-				expect[kk*t.TYp+ty]++
-			}
+		c.deliv[e] = dn.Delivery{
+			Pkt:     comp.Packet{Value: v, Kind: comp.InputPkt, Seq: seq},
+			Dests:   co.dests,
+			Forward: reused,
 		}
 	}
 	c.prevOx = ox
 
-	// Expected participation per VN: TC slice size times... each (kk,ty)
-	// receives exactly one product per member with tc < cw.
-	for kk := 0; kk < t.TK; kk++ {
-		if c.mb*t.TK+kk >= c.kg {
-			continue
-		}
-		kfull := c.g*c.kg + c.mb*t.TK + kk
-		for ty := 0; ty < t.TYp; ty++ {
-			oy := oyBase + ty
-			if oy >= c.yo {
-				continue
+	// Every valid (filter, position) VN receives one product per member
+	// switch with a valid channel slice.
+	nj := 0
+	if st.expect > 0 {
+		for kk := 0; kk < filt; kk++ {
+			kfull := c.g*c.kg + c.mb*t.TK + kk
+			for ty := 0; ty < st.rows; ty++ {
+				c.jobs[nj] = sim.JobSpec{
+					VN: kk*t.TYp + ty, Seq: seq, Expect: st.expect,
+					OutIdx: (kfull*c.xo+ox)*c.yo + oyBase + ty,
+					Last:   c.fold == c.folds-1,
+				}
+				nj++
 			}
-			vn := kk*t.TYp + ty
-			if expect[vn] == 0 {
-				continue
-			}
-			// expect[vn] counted one product per member switch with a
-			// valid channel slice — exactly the set that will latch.
-			item.Jobs = append(item.Jobs, sim.JobSpec{
-				VN: vn, Seq: seq, Expect: expect[vn],
-				OutIdx: (kfull*c.xo+ox)*c.yo + oy,
-				Last:   c.fold == c.folds-1,
-			})
 		}
 	}
 
@@ -260,7 +327,7 @@ func (c *convSource) Next() (sim.WorkItem, bool) {
 			}
 		}
 	}
-	return item, true
+	return sim.WorkItem{Deliveries: c.deliv[:len(st.coords)], Jobs: c.jobs[:nj]}, true
 }
 
 // RunConv simulates a convolution on the tree-based flexible fabric with

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/comp"
@@ -11,7 +12,11 @@ import (
 	"repro/internal/tensor"
 )
 
-// drainSource exhausts a sim.Source and returns all items.
+// drainSource exhausts a sim.Source and returns all items. A source owns
+// the ReloadSet, Deliveries and Jobs slices of the item it returns and
+// overwrites them on the next call (the sim.Source contract), so each item
+// is deep-copied before the next Next. Dests and Members point into the
+// source's immutable destination tables and are kept as they are.
 func drainSource(t *testing.T, src sim.Source, max int) []sim.WorkItem {
 	t.Helper()
 	var items []sim.WorkItem
@@ -20,6 +25,9 @@ func drainSource(t *testing.T, src sim.Source, max int) []sim.WorkItem {
 		if !ok {
 			return items
 		}
+		item.ReloadSet = slices.Clone(item.ReloadSet)
+		item.Deliveries = slices.Clone(item.Deliveries)
+		item.Jobs = slices.Clone(item.Jobs)
 		items = append(items, item)
 	}
 	t.Fatalf("source did not exhaust within %d items", max)
@@ -171,7 +179,7 @@ func TestSigmaSourceGenerations(t *testing.T) {
 		t.Skip("need multiple rounds for this check")
 	}
 	B := randTensor(8, 10, 3)
-	src := &sigmaSource{rounds: rounds, B: B, n: 3}
+	src := newSigmaSource(rounds, B)
 	gens := map[uint32]bool{}
 	for {
 		item, ok := src.Next()

@@ -29,13 +29,11 @@ type sparseRunner struct {
 // sigmaCluster is one mapped chunk: a contiguous run of switches holding
 // the chunk's stationary non-zeros.
 type sigmaCluster struct {
-	row    int
-	msBase int
-	ks     []int32   // k index per member switch
-	vals   []float32 // stationary value per member switch
-	// members is the switch-index set [msBase, msBase+len(ks)), built once
-	// at round construction; JobSpecs share it read-only, so streaming a
-	// column allocates nothing.
+	row  int
+	vals []float32 // stationary value per member switch
+	// members is the cluster's run of switch indices, a window of the
+	// rounds' shared identity table: JobSpecs share it read-only, and
+	// members[p : p+1] is member p's unicast stationary-load set.
 	members []int
 }
 
@@ -44,8 +42,10 @@ type sigmaCluster struct {
 type sigmaRound struct {
 	clusters []sigmaCluster
 	used     int
-	kOrder   []int32
-	kDests   map[int32][]int
+	// kOrder lists the round's distinct k values in first-use order;
+	// kDests[i] is the immutable multicast set of kOrder[i].
+	kOrder []int32
+	kDests [][]int
 	// clusterOfMS maps switch → cluster index for expectation counting.
 	clusterOfMS []int
 }
@@ -55,64 +55,128 @@ type sigmaSource struct {
 	B      *tensor.Tensor
 	n      int
 
+	// Work-item scratch, sized for the largest round and overwritten by
+	// every Next; expect is the per-cluster participation counter.
+	deliv  []dn.Delivery
+	jobs   []sim.JobSpec
+	expect []int
+
 	round int
 	phase int // 0 = stationary load, 1 = stream columns
 	col   int
 	seq   int
-
-	// expect is the reusable per-cluster participation counter scratch.
-	expect []int
 
 	exhausted bool
 }
 
 var _ sim.Source = (*sigmaSource)(nil)
 
+// buildSigmaRounds packs the non-zero rows of A into rounds of at most
+// capacity switches and lays out every round's immutable tables. All
+// rounds share one backing array per table, so laying them out costs the
+// same few allocations however many rounds the packing yields.
 func buildSigmaRounds(A *tensor.CSRMatrix, capacity int, policy sched.Policy, seed uint64) []sigmaRound {
 	nnz := make([]int, A.Rows)
 	for i := 0; i < A.Rows; i++ {
 		nnz[i] = A.RowNNZ(i)
 	}
 	packed := sched.Pack(nnz, capacity, policy, seed)
-	rounds := make([]sigmaRound, 0, len(packed))
+	var chunks, total int
 	for _, r := range packed {
-		sr := sigmaRound{kDests: map[int32][]int{}, clusterOfMS: make([]int, capacity)}
+		chunks += len(r)
+		for _, c := range r {
+			total += c.Len
+		}
+	}
+	rounds := make([]sigmaRound, len(packed))
+	clusters := make([]sigmaCluster, chunks)
+	clusterOf := make([]int, len(packed)*capacity)
+	ident := make([]int, capacity)
+	for ms := range ident {
+		ident[ms] = ms
+	}
+	// A round holds at most one distinct k per non-zero, so total bounds
+	// every per-k table.
+	kOrder := make([]int32, total)
+	kDests := make([][]int, total)
+	dests := make([]int, total)
+	// Per-round scratch: kRound stamps the round a k was last seen in,
+	// kSlot its first-use position there; slotOf[ms] is the position of
+	// switch ms's k, count and next size and fill each k's set.
+	kRound := make([]int, A.Cols)
+	kSlot := make([]int, A.Cols)
+	slotOf := make([]int, capacity)
+	count := make([]int, capacity)
+	next := make([]int, capacity)
+
+	var nc, nk, nd int
+	for ri, r := range packed {
+		sr := &rounds[ri]
+		sr.clusters = clusters[nc : nc+len(r) : nc+len(r)]
+		sr.clusterOfMS = clusterOf[ri*capacity : (ri+1)*capacity : (ri+1)*capacity]
 		for i := range sr.clusterOfMS {
 			sr.clusterOfMS[i] = -1
 		}
+		distinctK := 0
 		base := 0
 		for ci, chunk := range r {
 			idx, vals := A.Row(chunk.Row)
-			cl := sigmaCluster{
-				row:    chunk.Row,
-				msBase: base,
-				ks:     idx[chunk.Start : chunk.Start+chunk.Len],
-				vals:   vals[chunk.Start : chunk.Start+chunk.Len],
+			ks := idx[chunk.Start : chunk.Start+chunk.Len]
+			sr.clusters[ci] = sigmaCluster{
+				row:     chunk.Row,
+				vals:    vals[chunk.Start : chunk.Start+chunk.Len],
+				members: ident[base : base+len(ks) : base+len(ks)],
 			}
-			cl.members = make([]int, len(cl.ks))
-			for p, k := range cl.ks {
-				ms := base + p
-				cl.members[p] = ms
-				if _, seen := sr.kDests[k]; !seen {
-					sr.kOrder = append(sr.kOrder, k)
+			for p, k := range ks {
+				if kRound[k] != ri+1 {
+					kRound[k] = ri + 1
+					kSlot[k] = distinctK
+					kOrder[nk+distinctK] = k
+					count[distinctK] = 0
+					distinctK++
 				}
-				sr.kDests[k] = append(sr.kDests[k], ms)
-				sr.clusterOfMS[ms] = ci
+				slotOf[base+p] = kSlot[k]
+				count[kSlot[k]]++
+				sr.clusterOfMS[base+p] = ci
 			}
-			base += len(cl.ks)
-			sr.clusters = append(sr.clusters, cl)
+			base += len(ks)
 		}
 		sr.used = base
-		rounds = append(rounds, sr)
+		sr.kOrder = kOrder[nk : nk+distinctK : nk+distinctK]
+		sr.kDests = kDests[nk : nk+distinctK : nk+distinctK]
+		for slot := range sr.kDests {
+			next[slot] = nd
+			nd += count[slot]
+			sr.kDests[slot] = dests[next[slot]:nd:nd]
+		}
+		for ms, slot := range slotOf[:base] {
+			dests[next[slot]] = ms
+			next[slot]++
+		}
+		nc += len(r)
+		nk += distinctK
 	}
 	return rounds
 }
 
-// Next emits the next phase of the current SIGMA round; per-round
-// delivery-list allocations are amortized over the cycles the round
-// streams through the fabric.
-//
-//lint:ignore hotpathalloc work-item construction is amortized over the many cycles the round occupies the fabric
+// newSigmaSource streams the columns of B through the packed rounds.
+func newSigmaSource(rounds []sigmaRound, B *tensor.Tensor) *sigmaSource {
+	var deliv, clusters int
+	for i := range rounds {
+		deliv = max(deliv, rounds[i].used)
+		clusters = max(clusters, len(rounds[i].clusters))
+	}
+	return &sigmaSource{
+		rounds: rounds, B: B, n: B.Dim(1),
+		deliv:  make([]dn.Delivery, deliv),
+		jobs:   make([]sim.JobSpec, clusters),
+		expect: make([]int, clusters),
+	}
+}
+
+// Next emits the next phase of the current SIGMA round into the source's
+// scratch: values are read from the operands, destination sets come from
+// the immutable tables.
 func (s *sigmaSource) Next() (sim.WorkItem, bool) {
 	if s.exhausted {
 		return sim.WorkItem{}, false
@@ -125,58 +189,57 @@ func (s *sigmaSource) Next() (sim.WorkItem, bool) {
 		// shadow register of its switch (generation-tagged), so loading
 		// pipelines behind the previous round's streaming — SIGMA's
 		// double-buffered reconfiguration.
-		item := sim.WorkItem{Prefetch: r.used}
+		nd := 0
 		for _, cl := range r.clusters {
 			for p, v := range cl.vals {
-				item.Deliveries = append(item.Deliveries, dn.Delivery{
+				s.deliv[nd] = dn.Delivery{
 					Pkt:   comp.Packet{Value: v, Kind: comp.WeightPkt, Gen: gen},
-					Dests: []int{cl.msBase + p},
-				})
+					Dests: cl.members[p : p+1 : p+1],
+				}
+				nd++
 			}
 		}
 		s.phase = 1
 		s.col = 0
-		return item, true
+		return sim.WorkItem{Prefetch: r.used, Deliveries: s.deliv[:nd]}, true
 	}
 
 	// Stream one column of the KN matrix: distinct non-zero k values are
 	// multicast; clusters reduce whatever members participated.
-	item := sim.WorkItem{}
 	seq := s.seq
 	s.seq++
 	j := s.col
-	if cap(s.expect) < len(r.clusters) {
-		s.expect = make([]int, len(r.clusters))
-	}
 	expect := s.expect[:len(r.clusters)]
-	for i := range expect {
-		expect[i] = 0
-	}
+	clear(expect)
 	bd := s.B.Data()
-	for _, k := range r.kOrder {
+	nd := 0
+	for ki, k := range r.kOrder {
 		bv := bd[int(k)*s.n+j]
 		if bv == 0 {
 			continue // streaming sparsity: never delivered, never multiplied
 		}
-		dests := r.kDests[k]
-		item.Deliveries = append(item.Deliveries, dn.Delivery{
+		dests := r.kDests[ki]
+		s.deliv[nd] = dn.Delivery{
 			Pkt:   comp.Packet{Value: bv, Kind: comp.InputPkt, Seq: seq, Gen: gen},
 			Dests: dests,
-		})
+		}
+		nd++
 		for _, ms := range dests {
 			expect[r.clusterOfMS[ms]]++
 		}
 	}
+	nj := 0
 	for ci, cl := range r.clusters {
 		if expect[ci] == 0 {
 			continue // entire chunk hit zeros in this column
 		}
-		item.Jobs = append(item.Jobs, sim.JobSpec{
+		s.jobs[nj] = sim.JobSpec{
 			VN: ci, Seq: seq, Expect: expect[ci],
 			OutIdx:  cl.row*s.n + j,
 			Last:    true, // each contribution exits and accumulates GB-side
 			Members: cl.members,
-		})
+		}
+		nj++
 	}
 
 	s.col++
@@ -187,7 +250,7 @@ func (s *sigmaSource) Next() (sim.WorkItem, bool) {
 			s.exhausted = true
 		}
 	}
-	return item, true
+	return sim.WorkItem{Deliveries: s.deliv[:nd], Jobs: s.jobs[:nj]}, true
 }
 
 // RunGEMM runs the GEMM through the sparse front end: the sparse
@@ -234,8 +297,7 @@ func (r *sparseRunner) RunSpMM(A, B *tensor.Tensor, layer string, policy *sched.
 		return nil, nil, err
 	}
 	f.sumOut = true
-	src := &sigmaSource{rounds: rounds, B: B, n: n}
-	f.src = src
+	f.src = newSigmaSource(rounds, B)
 
 	// Sparse metadata traffic: the bitmap front format reads one bit per
 	// MK element (packed into 64-bit words); CSR reads one index per

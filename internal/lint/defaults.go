@@ -44,13 +44,11 @@ func DefaultExtraRoots() map[string][]string {
 			"Net.Drained",
 			"Net.HasAccumulator",
 		},
+		// Every DN kind inherits its injection path from the embedded base,
+		// and roots match the declared receiver.
 		"repro/internal/dn": {
-			"Tree.Offer",
-			"Tree.Pending",
-			"Benes.Offer",
-			"Benes.Pending",
-			"PointToPoint.Offer",
-			"PointToPoint.Pending",
+			"base.Offer",
+			"base.Pending",
 		},
 	}
 }

@@ -22,7 +22,10 @@ import (
 //   - extraRoots, a per-package-path list of "Type.Method" (or plain
 //     function) names for hot leaves invoked from another package's tick
 //     loop — e.g. mem.GlobalBuffer.Read, which engine controllers call per
-//     cycle but which roots nothing structurally in its own package.
+//     cycle but which roots nothing structurally in its own package. A
+//     name matches the declared receiver only (a method promoted from an
+//     embedded type is rooted under that type), and a name that matches
+//     no declaration of an analyzed package is itself a finding.
 //
 // From those roots the analyzer walks the package-local static call graph
 // and flags allocating expressions and map indexing in every reachable
@@ -94,9 +97,11 @@ func (h *hotPaths) collectRoots(extra []string) {
 	for _, e := range extra {
 		extraSet[e] = true
 	}
+	matched := make(map[string]bool, len(extra))
 	for fn, hf := range h.decls {
 		fd := hf.decl
 		if name := qualifiedName(fd); extraSet[name] {
+			matched[name] = true
 			h.markRoot(fn, name+" (configured hot leaf)")
 		}
 		if fd.Recv == nil {
@@ -129,6 +134,7 @@ func (h *hotPaths) collectRoots(extra []string) {
 			}
 		}
 	}
+	h.reportStaleRoots(extra, matched)
 	// sim.Kernel hook wiring.
 	for _, f := range h.pass.Files {
 		if h.pass.InTestFile(f.Pos()) {
@@ -167,6 +173,31 @@ func (h *hotPaths) collectRoots(extra []string) {
 			}
 			return true
 		})
+	}
+}
+
+// reportStaleRoots flags every configured hot leaf that names no
+// declaration of the package. Roots match the declared receiver, so a
+// method promoted from an embedded type must be configured under the
+// embedded type's name; a stale or promoted-name entry would otherwise
+// silently leave its code unanalyzed. The finding sits on the package
+// clause of the first non-test file.
+func (h *hotPaths) reportStaleRoots(extra []string, matched map[string]bool) {
+	var clause token.Pos
+	for _, f := range h.pass.Files {
+		if !h.pass.InTestFile(f.Pos()) {
+			clause = f.Name.Pos()
+			break
+		}
+	}
+	if !clause.IsValid() {
+		return
+	}
+	for _, name := range extra {
+		if !matched[name] {
+			h.pass.Reportf(clause, "configured hot leaf %s matches no declaration in %s (roots name the declared receiver)",
+				name, h.pass.Pkg.Path())
+		}
 	}
 }
 

@@ -39,6 +39,17 @@ func TestHotPathAllocExtraRoots(t *testing.T) {
 	linttest.Run(t, lint.HotPathAlloc(extra), "hotleaf")
 }
 
+// TestHotPathAllocStaleRoots pins that a configured hot leaf naming no
+// declaration is a finding rather than a silent gap: a removed method, and
+// a method configured under the type it is promoted into instead of its
+// declared receiver.
+func TestHotPathAllocStaleRoots(t *testing.T) {
+	extra := map[string][]string{
+		"repro/internal/lint/testdata/staleleaf": {"inner.Touch", "Outer.Touch", "Leaf.Gone"},
+	}
+	linttest.Run(t, lint.HotPathAlloc(extra), "staleleaf")
+}
+
 // TestHotPathAllocChipRoots pins the chip-interconnect tier of the root
 // table: the SharedDRAM.Serve / CorePort.* shapes added for the multi-core
 // composition are rooted the same way, including transitive reach from a

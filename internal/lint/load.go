@@ -211,6 +211,9 @@ func (l *Loader) expand(patterns []string) ([]string, error) {
 		if !filepath.IsAbs(root) {
 			root = filepath.Join(l.Dir, root)
 		}
+		if l.inNestedModule(root) {
+			return nil, fmt.Errorf("lint: %s belongs to a nested module, not %s", root, l.Module)
+		}
 		if !rec {
 			if hasGoFiles(root) {
 				add(root)
@@ -229,6 +232,11 @@ func (l *Loader) expand(patterns []string) ([]string, error) {
 			if p != root && (strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") || name == "testdata") {
 				return filepath.SkipDir
 			}
+			// Like the go tool, stop at a nested module: its packages are
+			// not this module's.
+			if p != root && hasGoMod(p) {
+				return filepath.SkipDir
+			}
 			if hasGoFiles(p) {
 				add(p)
 			}
@@ -240,6 +248,27 @@ func (l *Loader) expand(patterns []string) ([]string, error) {
 	}
 	sort.Strings(dirs)
 	return dirs, nil
+}
+
+// inNestedModule reports whether dir lies inside a module nested under
+// the loader's: some directory from dir up to (not including) the module
+// root holds its own go.mod.
+func (l *Loader) inNestedModule(dir string) bool {
+	for d := filepath.Clean(dir); d != l.Dir; d = filepath.Dir(d) {
+		rel, err := filepath.Rel(l.Dir, d)
+		if err != nil || strings.HasPrefix(rel, "..") {
+			return false // outside the module; importPathFor reports it
+		}
+		if hasGoMod(d) {
+			return true
+		}
+	}
+	return false
+}
+
+func hasGoMod(dir string) bool {
+	_, err := os.Stat(filepath.Join(dir, "go.mod"))
+	return err == nil
 }
 
 func hasGoFiles(dir string) bool {

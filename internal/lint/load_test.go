@@ -33,3 +33,30 @@ func TestLoadExternalTestSharedDepIdentity(t *testing.T) {
 		t.Fatalf("external test package not loaded; got %d packages", len(pkgs))
 	}
 }
+
+// TestLoadStopsAtNestedModule pins that pattern expansion treats a
+// directory with its own go.mod the way the go tool does: "./..." does not
+// walk into it, and naming it directly is an error rather than a load of
+// another module's packages as this module's.
+func TestLoadStopsAtNestedModule(t *testing.T) {
+	l, err := lint.NewLoader("testdata/nestedmod")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pkgs, err := l.Load("./...")
+	if err != nil {
+		t.Fatalf("./... walked into the nested module: %v", err)
+	}
+	if len(pkgs) != 1 || pkgs[0].Path != "nestedmod/app" {
+		var paths []string
+		for _, p := range pkgs {
+			paths = append(paths, p.Path)
+		}
+		t.Fatalf("loaded %v, want only nestedmod/app", paths)
+	}
+	for _, pat := range []string{"./tools/gen", "./tools/..."} {
+		if _, err := l.Load(pat); err == nil {
+			t.Errorf("Load(%q) loaded a nested module's package", pat)
+		}
+	}
+}

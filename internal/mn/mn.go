@@ -31,8 +31,11 @@ type msState struct {
 	shadowGen uint32
 	hasShadow bool
 
-	in           *comp.FIFO
-	psums        []psum // latched products awaiting reduction, in step order
+	in *comp.FIFO
+	// psums latches products awaiting reduction, in step order; the first
+	// npsums entries are live.
+	psums        [psumLatchDepth]psum
+	npsums       int
 	lastInput    float32
 	lastInputSeq int
 	hasLast      bool
@@ -215,7 +218,7 @@ func (a *Array) Cycle() {
 	fired := 0
 	for i := range a.ms {
 		s := &a.ms[i]
-		if len(s.psums) >= psumLatchDepth {
+		if s.npsums == psumLatchDepth {
 			continue
 		}
 		p, ok := s.in.Peek()
@@ -238,8 +241,8 @@ func (a *Array) Cycle() {
 		s.lastInput = p.Value
 		s.lastInputSeq = p.Seq
 		s.hasLast = true
-		//lint:ignore hotpathalloc latch depth is capped at psumLatchDepth (checked above) and pops copy down in place, so the backing array stops growing after the first few cycles
-		s.psums = append(s.psums, psum{value: s.stationary * p.Value, seq: p.Seq, last: p.Last})
+		s.psums[s.npsums] = psum{value: s.stationary * p.Value, seq: p.Seq, last: p.Last}
+		s.npsums++
 		fired++
 	}
 	if fired > 0 {
@@ -278,8 +281,8 @@ func (a *Array) ReadyVN(vn, seq, expect int) bool {
 func (a *Array) ReadyMembers(members []int, seq, expect int) bool {
 	count := 0
 	for _, ms := range members {
-		ps := a.ms[ms].psums
-		if len(ps) > 0 && ps[0].seq == seq {
+		s := &a.ms[ms]
+		if s.npsums > 0 && s.psums[0].seq == seq {
 			count++
 		}
 	}
@@ -304,15 +307,11 @@ func (a *Array) AppendPop(dst []float32, members []int, seq int) (values []float
 	values = dst
 	for _, ms := range members {
 		s := &a.ms[ms]
-		if len(s.psums) > 0 && s.psums[0].seq == seq {
+		if s.npsums > 0 && s.psums[0].seq == seq {
 			//lint:ignore hotpathalloc dst is the caller's reusable scratch buffer (reset to len 0 each cycle), so this append reallocates only until it reaches steady-state capacity
 			values = append(values, s.psums[0].value)
 			last = last || s.psums[0].last
-			// Copy-down pop keeps the latch's backing array (depth ≤
-			// psumLatchDepth), so the following append reuses it instead of
-			// reallocating every multiply.
-			n := copy(s.psums, s.psums[1:])
-			s.psums = s.psums[:n]
+			s.npsums = copy(s.psums[:], s.psums[1:s.npsums])
 		}
 	}
 	return values, last
@@ -324,7 +323,7 @@ func (a *Array) AppendPop(dst []float32, members []int, seq int) (values []float
 func (a *Array) QuiescentSet(set []int) bool {
 	for _, ms := range set {
 		s := &a.ms[ms]
-		if !s.in.Empty() || len(s.psums) > 0 {
+		if !s.in.Empty() || s.npsums > 0 {
 			return false
 		}
 	}
@@ -335,7 +334,7 @@ func (a *Array) QuiescentSet(set []int) bool {
 func (a *Array) Idle() bool {
 	for i := range a.ms {
 		s := &a.ms[i]
-		if !s.in.Empty() || len(s.psums) > 0 {
+		if !s.in.Empty() || s.npsums > 0 {
 			return false
 		}
 	}

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/dnn"
+	"repro/internal/jobkey"
 )
 
 // TraceFormatVersion is the arrival-trace format this build reads. The
@@ -62,12 +63,14 @@ type TraceScenario struct {
 
 // ScheduledRequest is one expanded, validated request of a replay: Index
 // is its position in the arrival-sorted schedule (the order every
-// deterministic report artifact uses).
+// deterministic report artifact uses); Key is the job's result-cache key,
+// shared by every request for the same job.
 type ScheduledRequest struct {
 	Index    int
 	Scenario string
 	Arrival  time.Duration
 	Job      Request
+	Key      jobkey.Key
 }
 
 // ParseTrace decodes and validates a trace file.
@@ -118,13 +121,14 @@ func (t *Trace) Expand(seed uint64) ([]ScheduledRequest, error) {
 	var sched []ScheduledRequest
 	add := func(scenario string, at time.Duration, job Request) error {
 		job.Progress = false
-		if _, err := resolve(job); err != nil {
+		j, err := resolve(job)
+		if err != nil {
 			return fmt.Errorf("trace %q: scenario %q: %w", t.Name, scenario, err)
 		}
 		if scenario == "" {
 			scenario = "default"
 		}
-		sched = append(sched, ScheduledRequest{Scenario: scenario, Arrival: at, Job: job})
+		sched = append(sched, ScheduledRequest{Scenario: scenario, Arrival: at, Job: job, Key: j.key})
 		return nil
 	}
 	for _, r := range t.Requests {

@@ -66,6 +66,11 @@ type JobSpec struct {
 }
 
 // WorkItem is one schedulable unit: a weight (re)load or one compute step.
+//
+// Its slices follow the ownership contract of Source: ReloadSet,
+// Deliveries and Jobs are scratch owned by the source, while each
+// delivery's Dests and each job's Members point into destination tables
+// that stay immutable for the source's lifetime.
 type WorkItem struct {
 	// Barrier requires the switches in ReloadSet to be quiescent (operand
 	// FIFOs and psum latches empty) and the DN drained before issuing —
@@ -87,6 +92,17 @@ type WorkItem struct {
 // Source generates work items on demand so full-model runs never
 // materialize their schedule up front. The dense GEMM, dense convolution
 // and SIGMA sparse schedulers are all Sources driving the same controller.
+//
+// Ownership: a returned item's ReloadSet, Deliveries and Jobs slices are
+// the source's scratch, pre-sized at construction and overwritten by the
+// next call — they are valid only until then. A consumer that keeps any
+// of them across Next calls must copy it (the controller copies
+// deliveries into the DN queue and jobs into its per-VN queues before
+// asking for the next item). The Dests of every delivery and the Members
+// of every job are different: they point into destination tables the
+// source builds once, at construction, and never mutates, so they may be
+// held for the source's whole lifetime — the DN queue keeps them after
+// the item that carried them is gone. Next therefore allocates nothing.
 type Source interface {
 	Next() (WorkItem, bool)
 }
