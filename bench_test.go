@@ -33,7 +33,7 @@ const benchScale = 16
 // reports the mean absolute cycle error against the published counts.
 func BenchmarkTableV(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		_, avg, err := exp.TableVRun()
+		_, avg, err := exp.TableVRun(context.Background(), 1)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -43,9 +43,9 @@ func BenchmarkTableV(b *testing.B) {
 
 // --- Figure 1 ----------------------------------------------------------
 
-func benchFig1(b *testing.B, f func(int) ([]exp.Fig1Row, error)) {
+func benchFig1(b *testing.B, f func(context.Context, int, int) ([]exp.Fig1Row, error)) {
 	for i := 0; i < b.N; i++ {
-		rows, err := f(benchScale)
+		rows, err := f(context.Background(), 1, benchScale)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -72,7 +72,7 @@ func BenchmarkFig1cSIGMASparsity(b *testing.B)        { benchFig1(b, exp.Fig1c) 
 // models and reports the headline speedups.
 func BenchmarkFig5AccelComparison(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := exp.Fig5(benchScale, []string{"M", "S", "A"})
+		rows, err := exp.Fig5(context.Background(), 1, benchScale, []string{"M", "S", "A"})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -95,12 +95,12 @@ func BenchmarkFig5Parallel(b *testing.B) {
 	tags := []string{"M", "S", "A"}
 	for i := 0; i < b.N; i++ {
 		t0 := time.Now()
-		if _, err := exp.Fig5Par(ctx, 1, benchScale, tags); err != nil {
+		if _, err := exp.Fig5(ctx, 1, benchScale, tags); err != nil {
 			b.Fatal(err)
 		}
 		serial := time.Since(t0)
 		t0 = time.Now()
-		if _, err := exp.Fig5Par(ctx, 0, benchScale, tags); err != nil {
+		if _, err := exp.Fig5(ctx, 0, benchScale, tags); err != nil {
 			b.Fatal(err)
 		}
 		par := time.Since(t0)
@@ -113,7 +113,7 @@ func BenchmarkFig5Parallel(b *testing.B) {
 
 func BenchmarkFig6SNAPEA(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := exp.Fig6(benchScale, 1)
+		rows, err := exp.Fig6(context.Background(), 1, benchScale, 1)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -129,7 +129,7 @@ func BenchmarkFig6SNAPEA(b *testing.B) {
 
 func BenchmarkFig7FilterMapping(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		a, _, err := exp.Fig7(benchScale)
+		a, _, err := exp.Fig7(context.Background(), 1, benchScale)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -145,7 +145,7 @@ func BenchmarkFig7FilterMapping(b *testing.B) {
 
 func BenchmarkFig9Scheduling(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := exp.Fig9(benchScale, []string{"S", "R", "V"})
+		rows, err := exp.Fig9(context.Background(), 1, benchScale, []string{"S", "R", "V"})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -163,7 +163,7 @@ func BenchmarkFig9Scheduling(b *testing.B) {
 
 func BenchmarkFig9cResNetSensitivity(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := exp.Fig9c(benchScale)
+		rows, err := exp.Fig9c(context.Background(), 1, benchScale)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -56,11 +56,11 @@ func main() {
 		case "tablev":
 			return tableV(ctx, *workers)
 		case "fig1a":
-			return fig1("Figure 1a — OS systolic array, STONNE vs analytical", func() ([]exp.Fig1Row, error) { return exp.Fig1aPar(ctx, *workers, *scale) })
+			return fig1("Figure 1a — OS systolic array, STONNE vs analytical", func() ([]exp.Fig1Row, error) { return exp.Fig1a(ctx, *workers, *scale) })
 		case "fig1b":
-			return fig1("Figure 1b — 128-mult MAERI, bandwidth sweep", func() ([]exp.Fig1Row, error) { return exp.Fig1bPar(ctx, *workers, *scale) })
+			return fig1("Figure 1b — 128-mult MAERI, bandwidth sweep", func() ([]exp.Fig1Row, error) { return exp.Fig1b(ctx, *workers, *scale) })
 		case "fig1c":
-			return fig1("Figure 1c — 128-mult SIGMA, sparsity sweep", func() ([]exp.Fig1Row, error) { return exp.Fig1cPar(ctx, *workers, *scale) })
+			return fig1("Figure 1c — 128-mult SIGMA, sparsity sweep", func() ([]exp.Fig1Row, error) { return exp.Fig1c(ctx, *workers, *scale) })
 		case "fig5":
 			return fig5(ctx, *workers, *scale, tags)
 		case "fig6":
@@ -135,7 +135,7 @@ func multicore(scale int) error {
 // extra cycles go instead of just how many there are.
 func stalls(ctx context.Context, workers, scale int) error {
 	fmt.Println("== Stall breakdown — 128-mult MAERI bandwidth sweep vs 16x16 TPU ==")
-	rows, err := exp.StallBreakdownPar(ctx, workers, scale)
+	rows, err := exp.StallBreakdown(ctx, workers, scale)
 	if err != nil {
 		return err
 	}
@@ -170,7 +170,7 @@ func tableI() error {
 
 func tableV(ctx context.Context, workers int) error {
 	fmt.Println("== Table V — timing validation vs published RTL cycle counts ==")
-	rows, avg, err := exp.TableVRunPar(ctx, workers)
+	rows, avg, err := exp.TableVRun(ctx, workers)
 	if err != nil {
 		return err
 	}
@@ -200,7 +200,7 @@ func fig1(title string, f func() ([]exp.Fig1Row, error)) error {
 
 func fig5(ctx context.Context, workers, scale int, tags []string) error {
 	fmt.Println("== Figure 5 — TPU vs MAERI vs SIGMA: full-model cycles, energy, area ==")
-	rows, err := exp.Fig5Par(ctx, workers, scale, tags)
+	rows, err := exp.Fig5(ctx, workers, scale, tags)
 	if err != nil {
 		return err
 	}
@@ -251,7 +251,7 @@ func breakdownPct(br map[string]float64, total float64) string {
 
 func fig6(ctx context.Context, workers, scale, images int) error {
 	fmt.Println("== Figure 6 — SNAPEA vs baseline on four CNNs ==")
-	rows, err := exp.Fig6Par(ctx, workers, scale, images)
+	rows, err := exp.Fig6(ctx, workers, scale, images)
 	if err != nil {
 		return err
 	}
@@ -272,7 +272,7 @@ func fig6(ctx context.Context, workers, scale, images int) error {
 
 func fig7(ctx context.Context, workers, scale int) error {
 	fmt.Println("== Figure 7 — filter mapping on a 256-MS sparse fabric ==")
-	a, b, err := exp.Fig7Par(ctx, workers, scale)
+	a, b, err := exp.Fig7(ctx, workers, scale)
 	if err != nil {
 		return err
 	}
@@ -295,7 +295,7 @@ func fig7(ctx context.Context, workers, scale int) error {
 
 func fig9(ctx context.Context, workers, scale int, tags []string) error {
 	fmt.Println("== Figure 9a/9b — filter scheduling (NS / RDM / LFF) ==")
-	rows, err := exp.Fig9Par(ctx, workers, scale, tags)
+	rows, err := exp.Fig9(ctx, workers, scale, tags)
 	if err != nil {
 		return err
 	}
@@ -318,7 +318,7 @@ func fig9(ctx context.Context, workers, scale int, tags []string) error {
 
 func fig9c(ctx context.Context, workers, scale int) error {
 	fmt.Println("== Figure 9c — Resnets-50 per-layer LFF sensitivity ==")
-	rows, err := exp.Fig9cPar(ctx, workers, scale)
+	rows, err := exp.Fig9c(ctx, workers, scale)
 	if err != nil {
 		return err
 	}

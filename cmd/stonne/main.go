@@ -21,7 +21,8 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/dnn"
+	"repro/internal/sched"
+	"repro/internal/serve"
 	"repro/internal/sim"
 	"repro/internal/simpool"
 	"repro/internal/trace"
@@ -38,197 +39,170 @@ func main() {
 		listArchs()
 		return
 	}
-	fs := flag.NewFlagSet(op, flag.ExitOnError)
-
-	arch := fs.String("arch", "maeri", "preset architecture: tpu | maeri | sigma | snapea")
-	hwFile := fs.String("hw", "", "hardware configuration file (overrides -arch)")
-	ms := fs.Int("ms", 256, "number of multiplier switches")
-	bw := fs.Int("bw", 128, "GB bandwidth in elements/cycle")
-	mDim := fs.Int("M", 16, "GEMM M")
-	nDim := fs.Int("N", 16, "GEMM N")
-	kDim := fs.Int("K", 16, "GEMM K")
-	rDim := fs.Int("R", 3, "filter rows")
-	sDim := fs.Int("S", 3, "filter columns")
-	cDim := fs.Int("C", 16, "input channels")
-	gDim := fs.Int("G", 1, "groups")
-	kFil := fs.Int("Kf", 16, "filters")
-	xDim := fs.Int("X", 16, "input rows")
-	yDim := fs.Int("Y", 16, "input columns")
-	stride := fs.Int("stride", 1, "stride")
-	pad := fs.Int("pad", 0, "padding")
-	sparsity := fs.Float64("sparsity", 0.8, "MK weight sparsity for spmm")
-	policy := fs.String("policy", "NS", "filter scheduling policy: NS | RDM | LFF")
-	seed := fs.Uint64("seed", 1, "random tensor seed")
-	jsonOut := fs.String("json", "", "write the JSON summary to this file")
-	counterOut := fs.String("counters", "", "write the counter file to this path")
-	modelFile := fs.String("file", "", "JSON model description (model/train subcommands)")
-	weightsFile := fs.String("weights", "", "binary weights file (optional; random weights otherwise)")
-	saveWeights := fs.String("save-weights", "", "write the (generated or trained) weights to this path")
-	label := fs.Int("label", 0, "target class for the train subcommand")
-	lr := fs.Float64("lr", 0.01, "SGD learning rate for the train subcommand")
-	steps := fs.Int("steps", 1, "SGD steps for the train subcommand")
-	batch := fs.Int("batch", 1, "independent runs with seeds seed..seed+batch-1 (gemm/spmm/conv)")
-	workers := fs.Int("workers", 0, "parallel simulation jobs for -batch (0 = GOMAXPROCS, 1 = serial)")
-	selfcheck := fs.Bool("selfcheck", false, "verify every simulated output against the CPU reference (gemm/spmm/conv)")
-	traceOut := fs.String("trace", "", "write a Chrome trace_event JSON cycle trace to this file (gemm/spmm/conv)")
-	progress := fs.Bool("progress", false, "print periodic per-job progress to stderr (gemm/spmm/conv/model)")
-	cores := fs.Int("cores", 1, "simulated cores on the chip (model subcommand; >1 shares a banked DRAM)")
-	placement := fs.String("placement", "layer", "multi-core placement policy: layer (pipeline stages) | batch (whole streams)")
-	banks := fs.Int("banks", 0, "shared DRAM banks for multi-core runs (0 = default)")
-	streams := fs.Int("streams", 1, "independent inference streams for multi-core model runs")
-	fastforward := fs.Bool("fastforward", true, "skip provably-idle cycles (bit-exact; -fastforward=false forces the fully ticked loop)")
-	if err := fs.Parse(os.Args[2:]); err != nil {
+	f, err := parseFlags(op, os.Args[2:])
+	if err != nil {
 		os.Exit(2)
 	}
-
-	hw, err := pickHW(*hwFile, *arch, *ms, *bw)
+	hw, err := f.hardware()
 	if err != nil {
 		fatal(err)
 	}
-	hw.Preloaded = true // user-interface mode runs from preloaded buffers
-	hw.DisableFastForward = !*fastforward
 
 	switch op {
 	case "gemm", "spmm", "conv":
 	case "model":
-		if *cores > 1 || *streams > 1 {
-			runModelChipCmd(hw, *modelFile, *weightsFile, *policy, *seed,
-				*cores, *placement, *banks, *streams, *progress)
+		if f.cores > 1 || f.streams > 1 {
+			runModelChipCmd(hw, f)
 		} else {
-			runModelCmd(hw, *modelFile, *weightsFile, *saveWeights, *policy, *seed)
+			runModelCmd(hw, f)
 		}
 		return
 	case "train":
-		runTrainCmd(hw, *modelFile, *weightsFile, *saveWeights, *label, *lr, *steps, *seed)
+		runTrainCmd(hw, f)
 		return
 	default:
 		usage()
 		os.Exit(2)
 	}
 
-	p := opParams{
-		M: *mDim, N: *nDim, K: *kDim,
-		R: *rDim, S: *sDim, C: *cDim, G: *gDim, Kf: *kFil,
-		X: *xDim, Y: *yDim, Stride: *stride, Pad: *pad,
-		Sparsity: *sparsity, Policy: *policy, SelfCheck: *selfcheck,
-	}
-	if *batch < 1 {
-		*batch = 1
-	}
-	seeds := make([]uint64, *batch)
-	for i := range seeds {
-		seeds[i] = *seed + uint64(i)
-	}
-	sink := newTraceSink(*traceOut != "", *progress)
-	runs, err := simpool.Map(context.Background(), *workers, seeds,
-		func(_ context.Context, i int, sd uint64) (*stonne.Run, error) {
-			h := hw
-			if cfg := sink.configFor(fmt.Sprintf("run %d (seed %d)", i, sd)); cfg != nil {
-				h.Trace = cfg
-			}
-			return runOp(h, op, p, sd)
-		})
+	j, err := serve.Resolve(f.request(op, hw))
 	if err != nil {
 		fatal(err)
 	}
-	if *traceOut != "" {
-		if werr := sink.writeChrome(*traceOut); werr != nil {
+	sink := newTraceSink(f.traceOut != "", f.progress)
+	runs, err := runBatch(j, f, sink)
+	if err != nil {
+		fatal(err)
+	}
+	if f.traceOut != "" {
+		if werr := sink.writeChrome(f.traceOut); werr != nil {
 			fatal(werr)
 		}
-		fmt.Fprintf(os.Stderr, "trace written to %s (open in https://ui.perfetto.dev)\n", *traceOut)
+		fmt.Fprintf(os.Stderr, "trace written to %s (open in https://ui.perfetto.dev)\n", f.traceOut)
 	}
+	seeds := j.Seeds()
 	for i, run := range runs {
-		if *batch > 1 {
+		if len(runs) > 1 {
 			fmt.Printf("== run %d (seed %d) ==\n", i, seeds[i])
 		}
 		printRun(run)
-		if *jsonOut != "" {
-			if err := writeJSON(run, batchPath(*jsonOut, i, *batch)); err != nil {
+		if f.jsonOut != "" {
+			if err := writeJSON(run, batchPath(f.jsonOut, i, len(runs))); err != nil {
 				fatal(err)
 			}
 		}
-		if *counterOut != "" {
-			if err := os.WriteFile(batchPath(*counterOut, i, *batch), []byte(run.CounterFile()), 0o644); err != nil {
+		if f.counterOut != "" {
+			if err := os.WriteFile(batchPath(f.counterOut, i, len(runs)), []byte(run.CounterFile()), 0o644); err != nil {
 				fatal(err)
 			}
 		}
 	}
-	if *selfcheck {
+	if f.selfcheck {
 		// A failed check surfaces as a run error above, so reaching this
 		// point means every output matched the CPU reference.
 		fmt.Printf("self-check  : %d run(s) verified against the CPU reference\n", len(runs))
 	}
 }
 
-// opParams carries the operation shape so batched runs can rebuild their
-// tensors independently from per-run seeds.
-type opParams struct {
-	M, N, K              int
-	R, S, C, G, Kf, X, Y int
-	Stride, Pad          int
-	Sparsity             float64
-	Policy               string
-	SelfCheck            bool
+// flags is the parsed command line of one subcommand.
+type flags struct {
+	arch, hwFile, policy, placement                     string
+	jsonOut, counterOut, traceOut                       string
+	modelFile, weightsFile, saveWeights                 string
+	ms, bw, m, n, k, r, s, c, g, kf, x, y, stride, pad  int
+	label, steps, batch, workers, cores, banks, streams int
+	sparsity, lr                                        float64
+	seed                                                uint64
+	selfcheck, progress, fastforward                    bool
 }
 
-// runOp simulates one gemm/spmm/conv with tensors derived from seed. Each
-// call builds its own simulator instance, so batched runs share nothing.
-func runOp(hw stonne.Hardware, op string, p opParams, seed uint64) (*stonne.Run, error) {
-	inst, err := stonne.CreateInstance(hw)
-	if err != nil {
-		return nil, err
-	}
-	if p.SelfCheck {
-		inst.EnableSelfCheck()
-	}
-	rng := dnn.NewRNG(seed)
-	randTensor := func(shape ...int) *stonne.Tensor {
-		t := stonne.NewTensor(shape...)
-		for i, d := 0, t.Data(); i < len(d); i++ {
-			d[i] = float32(rng.Normal())
+func parseFlags(op string, args []string) (*flags, error) {
+	f := &flags{}
+	fs := flag.NewFlagSet(op, flag.ExitOnError)
+	fs.StringVar(&f.arch, "arch", "maeri", "preset architecture: tpu | maeri | sigma | snapea")
+	fs.StringVar(&f.hwFile, "hw", "", "hardware configuration file (overrides -arch)")
+	fs.IntVar(&f.ms, "ms", 256, "number of multiplier switches")
+	fs.IntVar(&f.bw, "bw", 128, "GB bandwidth in elements/cycle")
+	fs.IntVar(&f.m, "M", 16, "GEMM M")
+	fs.IntVar(&f.n, "N", 16, "GEMM N")
+	fs.IntVar(&f.k, "K", 16, "GEMM K")
+	fs.IntVar(&f.r, "R", 3, "filter rows")
+	fs.IntVar(&f.s, "S", 3, "filter columns")
+	fs.IntVar(&f.c, "C", 16, "input channels")
+	fs.IntVar(&f.g, "G", 1, "groups")
+	fs.IntVar(&f.kf, "Kf", 16, "filters")
+	fs.IntVar(&f.x, "X", 16, "input rows")
+	fs.IntVar(&f.y, "Y", 16, "input columns")
+	fs.IntVar(&f.stride, "stride", 1, "stride")
+	fs.IntVar(&f.pad, "pad", 0, "padding")
+	fs.Float64Var(&f.sparsity, "sparsity", 0.8, "MK weight sparsity for spmm")
+	fs.StringVar(&f.policy, "policy", "NS", "filter scheduling policy, any case: NS | RDM | LFF")
+	fs.Uint64Var(&f.seed, "seed", 1, "random tensor seed")
+	fs.StringVar(&f.jsonOut, "json", "", "write the JSON summary to this file")
+	fs.StringVar(&f.counterOut, "counters", "", "write the counter file to this path")
+	fs.StringVar(&f.modelFile, "file", "", "JSON model description (model/train subcommands)")
+	fs.StringVar(&f.weightsFile, "weights", "", "binary weights file (optional; random weights otherwise)")
+	fs.StringVar(&f.saveWeights, "save-weights", "", "write the (generated or trained) weights to this path")
+	fs.IntVar(&f.label, "label", 0, "target class for the train subcommand")
+	fs.Float64Var(&f.lr, "lr", 0.01, "SGD learning rate for the train subcommand")
+	fs.IntVar(&f.steps, "steps", 1, "SGD steps for the train subcommand")
+	fs.IntVar(&f.batch, "batch", 1, "independent runs with seeds seed..seed+batch-1 (gemm/spmm/conv)")
+	fs.IntVar(&f.workers, "workers", 0, "parallel simulation jobs for -batch (0 = GOMAXPROCS, 1 = serial)")
+	fs.BoolVar(&f.selfcheck, "selfcheck", false, "verify every simulated output against the CPU reference (gemm/spmm/conv)")
+	fs.StringVar(&f.traceOut, "trace", "", "write a Chrome trace_event JSON cycle trace to this file (gemm/spmm/conv)")
+	fs.BoolVar(&f.progress, "progress", false, "print periodic per-job progress to stderr (gemm/spmm/conv/model)")
+	fs.IntVar(&f.cores, "cores", 1, "simulated cores on the chip (model subcommand; >1 shares a banked DRAM)")
+	fs.StringVar(&f.placement, "placement", "layer", "multi-core placement policy: layer (pipeline stages) | batch (whole streams)")
+	fs.IntVar(&f.banks, "banks", 0, "shared DRAM banks for multi-core runs (0 = default)")
+	fs.IntVar(&f.streams, "streams", 1, "independent inference streams for multi-core model runs")
+	fs.BoolVar(&f.fastforward, "fastforward", true, "skip provably-idle cycles (bit-exact; -fastforward=false forces the fully ticked loop)")
+	return f, fs.Parse(args)
+}
+
+// hardware is the -hw file, or else the -arch preset sized by -ms/-bw, in
+// user-interface mode: operands start in preloaded buffers.
+func (f *flags) hardware() (stonne.Hardware, error) {
+	var hw stonne.Hardware
+	if f.hwFile != "" {
+		inst, err := stonne.CreateInstanceFromFile(f.hwFile)
+		if err != nil {
+			return hw, err
 		}
-		return t
+		hw = inst.HW()
+	} else {
+		var err error
+		if hw, err = sim.PresetHW(f.arch, f.ms, f.bw); err != nil {
+			return hw, err
+		}
 	}
-	var run *stonne.Run
-	switch op {
-	case "gemm":
-		inst.ConfigureDMM()
-		inst.ConfigureData(randTensor(p.M, p.K), randTensor(p.K, p.N))
-		_, run, err = inst.RunOperation()
-	case "spmm":
-		pol, perr := parsePolicy(p.Policy)
-		if perr != nil {
-			return nil, perr
-		}
-		inst.ConfigureSpMM(pol)
-		A := randTensor(p.M, p.K)
-		pruneTo(A, p.Sparsity)
-		inst.ConfigureData(A, randTensor(p.K, p.N))
-		_, run, err = inst.RunOperation()
-	case "conv":
-		cs := stonne.ConvShape{
-			R: p.R, S: p.S, C: p.C, G: p.G, K: p.Kf, N: 1,
-			X: p.X, Y: p.Y, Stride: p.Stride, Padding: p.Pad,
-		}
-		if cerr := inst.ConfigureCONV(cs); cerr != nil {
-			return nil, cerr
-		}
-		w := randTensor(cs.K, cs.C/cs.G, cs.R, cs.S)
-		in := stonne.NewTensor(1, cs.C, cs.X, cs.Y)
-		for i, d := 0, in.Data(); i < len(d); i++ {
-			v := rng.Normal()
-			if v < 0 {
-				v = 0
-			}
-			d[i] = float32(v)
-		}
-		inst.ConfigureData(w, in)
-		_, run, err = inst.RunOperation()
+	hw.Preloaded = true
+	hw.DisableFastForward = !f.fastforward
+	return hw, nil
+}
+
+// request is the gemm/spmm/conv job of the flags, spelled as the service
+// request the daemon would run for it.
+func (f *flags) request(op string, hw stonne.Hardware) serve.Request {
+	return serve.Request{
+		Op: op, HW: &hw,
+		M: f.m, N: f.n, K: f.k,
+		Conv: &stonne.ConvShape{
+			R: f.r, S: f.s, C: f.c, G: f.g, K: f.kf, N: 1,
+			X: f.x, Y: f.y, Stride: f.stride, Padding: f.pad,
+		},
+		Sparsity: f.sparsity, Policy: f.policy,
+		Seed: f.seed, Batch: max(f.batch, 1),
 	}
-	if err != nil {
-		return nil, err
-	}
-	return run, nil
+}
+
+// runBatch runs every seed of the job on its own simulator instance,
+// through the run the daemon uses, so batched runs share nothing.
+func runBatch(j *serve.Job, f *flags, sink *traceSink) ([]*stonne.Run, error) {
+	return simpool.Map(context.Background(), f.workers, j.Seeds(),
+		func(_ context.Context, i int, sd uint64) (*stonne.Run, error) {
+			_, run, err := j.RunSeed(sd, sink.configFor(fmt.Sprintf("run %d (seed %d)", i, sd)), f.selfcheck)
+			return run, err
+		})
 }
 
 // traceSink collects completed run traces and live progress samples from
@@ -347,46 +321,12 @@ func writeJSON(run *stonne.Run, path string) error {
 	return run.WriteJSON(f)
 }
 
-func pickHW(file, arch string, ms, bw int) (stonne.Hardware, error) {
-	if file != "" {
-		inst, err := stonne.CreateInstanceFromFile(file)
-		if err != nil {
-			return stonne.Hardware{}, err
-		}
-		return inst.HW(), nil
-	}
-	return sim.PresetHW(arch, ms, bw)
-}
-
 // listArchs prints the architecture registry — every composition this
 // build can simulate, in registration order.
 func listArchs() {
 	fmt.Println("registered architectures:")
 	for _, a := range sim.List() {
 		fmt.Printf("  %-8s %-18s %s\n", a.Name, a.Title, a.Description)
-	}
-}
-
-func parsePolicy(s string) (stonne.SchedPolicy, error) {
-	switch s {
-	case "NS":
-		return stonne.NoScheduling, nil
-	case "RDM":
-		return stonne.RandomScheduling, nil
-	case "LFF":
-		return stonne.LargestFilterFirst, nil
-	default:
-		return stonne.NoScheduling, fmt.Errorf("unknown policy %q", s)
-	}
-}
-
-func pruneTo(t *stonne.Tensor, sparsity float64) {
-	d := t.Data()
-	rng := dnn.NewRNG(0x9981)
-	for i := range d {
-		if rng.Float64() < sparsity {
-			d[i] = 0
-		}
 	}
 }
 
@@ -419,9 +359,9 @@ func loadModelAndWeights(modelFile, weightsFile string, seed uint64) (*stonne.Mo
 }
 
 // runModelCmd runs a full model from a description file, layer by layer.
-func runModelCmd(hw stonne.Hardware, modelFile, weightsFile, saveWeights, policy string, seed uint64) {
-	m, w, input := loadModelAndWeights(modelFile, weightsFile, seed)
-	pol, err := parsePolicy(policy)
+func runModelCmd(hw stonne.Hardware, f *flags) {
+	m, w, input := loadModelAndWeights(f.modelFile, f.weightsFile, f.seed)
+	pol, err := sched.ParsePolicy(f.policy)
 	if err != nil {
 		fatal(err)
 	}
@@ -437,8 +377,8 @@ func runModelCmd(hw stonne.Hardware, modelFile, weightsFile, saveWeights, policy
 	}
 	fmt.Printf("\ntotal: %d cycles, %.3f µJ, output shape %v\n",
 		mr.TotalCycles(), mr.TotalEnergy(), out.Shape())
-	if saveWeights != "" {
-		if err := w.SaveFile(saveWeights); err != nil {
+	if f.saveWeights != "" {
+		if err := w.SaveFile(f.saveWeights); err != nil {
 			fatal(err)
 		}
 	}
@@ -447,22 +387,18 @@ func runModelCmd(hw stonne.Hardware, modelFile, weightsFile, saveWeights, policy
 // runModelChipCmd runs -streams inferences of the model on a simulated
 // chip of -cores cores sharing a banked DRAM, and prints the chip-level
 // summary: per-core load, contention, makespan, and throughput.
-func runModelChipCmd(hw stonne.Hardware, modelFile, weightsFile, policy string, seed uint64,
-	cores int, placement string, banks, streams int, progress bool) {
-	m, w, _ := loadModelAndWeights(modelFile, weightsFile, seed)
-	pol, err := parsePolicy(policy)
+func runModelChipCmd(hw stonne.Hardware, f *flags) {
+	m, w, _ := loadModelAndWeights(f.modelFile, f.weightsFile, f.seed)
+	pol, err := sched.ParsePolicy(f.policy)
 	if err != nil {
 		fatal(err)
 	}
-	if streams < 1 {
-		streams = 1
-	}
-	inputs := make([]*stonne.Tensor, streams)
+	inputs := make([]*stonne.Tensor, max(f.streams, 1))
 	for i := range inputs {
-		inputs[i] = stonne.RandomInput(m, seed+1+uint64(i))
+		inputs[i] = stonne.RandomInput(m, f.seed+1+uint64(i))
 	}
-	copts := stonne.ChipOptions{Cores: cores, Placement: placement, Banks: banks}
-	if progress {
+	copts := stonne.ChipOptions{Cores: f.cores, Placement: f.placement, Banks: f.banks}
+	if f.progress {
 		board := simpool.NewBoard()
 		copts.Progress = func(core, stream, stage int, endCycle uint64) {
 			board.Update(fmt.Sprintf("core%d", core), endCycle, stream+1, 0, 0)
@@ -487,25 +423,25 @@ func runModelChipCmd(hw stonne.Hardware, modelFile, weightsFile, policy string, 
 }
 
 // runTrainCmd runs SGD steps with every GEMM simulated on the accelerator.
-func runTrainCmd(hw stonne.Hardware, modelFile, weightsFile, saveWeights string, label int, lr float64, steps int, seed uint64) {
-	m, w, input := loadModelAndWeights(modelFile, weightsFile, seed)
-	fmt.Printf("training %s on %s (label %d, lr %g)\n\n", m.Name, hw.Name, label, lr)
-	for step := 0; step < steps; step++ {
-		res, err := stonne.RunTrainingStep(m, w, input, label, hw)
+func runTrainCmd(hw stonne.Hardware, f *flags) {
+	m, w, input := loadModelAndWeights(f.modelFile, f.weightsFile, f.seed)
+	fmt.Printf("training %s on %s (label %d, lr %g)\n\n", m.Name, hw.Name, f.label, f.lr)
+	for step := 0; step < f.steps; step++ {
+		res, err := stonne.RunTrainingStep(m, w, input, f.label, hw)
 		if err != nil {
 			fatal(err)
 		}
-		if err := stonne.ApplySGD(w, res.Grads, lr); err != nil {
+		if err := stonne.ApplySGD(w, res.Grads, f.lr); err != nil {
 			fatal(err)
 		}
 		fmt.Printf("step %2d: loss %.4f, %d simulated GEMMs, %d cycles\n",
 			step, res.Loss, len(res.Stats.Runs), res.Stats.TotalCycles())
 	}
-	if saveWeights != "" {
-		if err := w.SaveFile(saveWeights); err != nil {
+	if f.saveWeights != "" {
+		if err := w.SaveFile(f.saveWeights); err != nil {
 			fatal(err)
 		}
-		fmt.Printf("weights saved to %s\n", saveWeights)
+		fmt.Printf("weights saved to %s\n", f.saveWeights)
 	}
 }
 

@@ -253,10 +253,26 @@ type Hardware struct {
 	SharedMem MemPortSource `json:"-"`
 }
 
-// MemPort is the method set a run's engine composition drives off-chip
-// memory through. It restates mem.Port structurally — config sits below
-// mem in the package graph, so the seam is declared here and mem pins the
-// two interfaces identical with compile-time assertions.
+// MemPort is the memory interface an engine composition drives off-chip
+// memory through (mem.Port is an alias) — the exact method set DRAM has
+// always exposed, extracted so a run can be pointed at either a private
+// DRAM model (the bare-kernel path) or a per-core port into a chip-shared
+// memory system (sim.Chip) without any call-site changes. The semantics
+// every implementation must honour:
+//
+//   - FetchCycles(n) returns the cycles to stream n elements and accounts
+//     the reads/row activations — a blocking fetch, used for the initial
+//     working-set fill.
+//   - BeginPrefetch(now, n) starts a double-buffered background transfer
+//     at cycle `now`; StallCycles(now) later reports how long the consumer
+//     must still wait for it (counting one stall event per probe).
+//   - StallLookahead(now) is the side-effect-free fast-forward probe:
+//     how many whole cycles from `now` the in-flight transfer still blocks
+//     the consumer. Its bound must be exact — the kernel skips that many
+//     cycles in one jump — which every implementation guarantees by fixing
+//     a transfer's completion time at issue, never retroactively.
+//   - AdvanceStall(n) replays the bookkeeping of n skipped stalled cycles.
+//   - WriteBack(n) accounts n output elements leaving for memory.
 type MemPort interface {
 	FetchCycles(n int) float64
 	BeginPrefetch(now float64, n int)

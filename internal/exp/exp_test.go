@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"context"
 	"testing"
 )
 
@@ -30,7 +31,7 @@ func TestRepresentativeLayers(t *testing.T) {
 }
 
 func TestFig1aRigidAgreement(t *testing.T) {
-	rows, err := Fig1a(testScale)
+	rows, err := Fig1a(context.Background(), 1, testScale)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +48,7 @@ func TestFig1aRigidAgreement(t *testing.T) {
 }
 
 func TestFig1bDivergesWithBandwidth(t *testing.T) {
-	rows, err := Fig1b(testScale)
+	rows, err := Fig1b(context.Background(), 1, testScale)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +85,7 @@ func TestFig1bDivergesWithBandwidth(t *testing.T) {
 }
 
 func TestFig1cDivergesWithSparsity(t *testing.T) {
-	rows, err := Fig1c(testScale)
+	rows, err := Fig1c(context.Background(), 1, testScale)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +101,7 @@ func TestFig1cDivergesWithSparsity(t *testing.T) {
 }
 
 func TestFig5Shapes(t *testing.T) {
-	rows, err := Fig5(testScale, []string{"S"})
+	rows, err := Fig5(context.Background(), 1, testScale, []string{"S"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +135,7 @@ func TestFig5Shapes(t *testing.T) {
 }
 
 func TestFig6SNAPEAWins(t *testing.T) {
-	rows, err := Fig6(testScale, 1)
+	rows, err := Fig6(context.Background(), 1, testScale, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +156,7 @@ func TestFig6SNAPEAWins(t *testing.T) {
 }
 
 func TestFig7FilterStats(t *testing.T) {
-	a, b, err := Fig7(testScale)
+	a, b, err := Fig7(context.Background(), 1, testScale)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +180,7 @@ func TestFig7FilterStats(t *testing.T) {
 }
 
 func TestFig9LFFWins(t *testing.T) {
-	rows, err := Fig9(testScale, []string{"S"})
+	rows, err := Fig9(context.Background(), 1, testScale, []string{"S"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +199,7 @@ func TestFig9LFFWins(t *testing.T) {
 }
 
 func TestTableVRunAverage(t *testing.T) {
-	rows, avg, err := TableVRun()
+	rows, avg, err := TableVRun(context.Background(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -31,14 +31,6 @@ func (r Fig1Row) RatioSTOverAM() float64 {
 	return float64(r.ST) / r.AM
 }
 
-// Fig1a compares STONNE against the SCALE-Sim-style analytical model for
-// an output-stationary systolic array of 16×16, 32×32 and 64×64 PEs over
-// the eight representative layers — the rigid case where both should agree
-// closely.
-func Fig1a(scale int) ([]Fig1Row, error) {
-	return Fig1aPar(context.Background(), 1, scale)
-}
-
 // fig1Job pairs one sweep configuration with one representative layer; the
 // layer struct is shared read-only between jobs (operands are rebuilt
 // inside each job from fixed seeds).
@@ -57,8 +49,11 @@ func fig1Jobs(cfgs []int, layers []RepLayer) []fig1Job {
 	return jobs
 }
 
-// Fig1aPar is Fig1a with one simpool job per (PE array, layer) point.
-func Fig1aPar(ctx context.Context, workers, scale int) ([]Fig1Row, error) {
+// Fig1a compares STONNE against the SCALE-Sim-style analytical model for
+// an output-stationary systolic array of 16×16, 32×32 and 64×64 PEs over
+// the eight representative layers — the rigid case where both should agree
+// closely. It runs one simpool job per (PE array, layer) point.
+func Fig1a(ctx context.Context, workers, scale int) ([]Fig1Row, error) {
 	layers, err := RepresentativeLayers(scale)
 	if err != nil {
 		return nil, err
@@ -110,13 +105,9 @@ func fig1aPoint(pe int, rl RepLayer) (Fig1Row, error) {
 // Fig1b compares STONNE against the MAERI analytical model on a
 // 128-multiplier flexible dense accelerator while the Global Buffer
 // bandwidth shrinks from 128 to 64 to 32 elements/cycle — the flexible
-// case where the analytical model misses pipeline stalls.
-func Fig1b(scale int) ([]Fig1Row, error) {
-	return Fig1bPar(context.Background(), 1, scale)
-}
-
-// Fig1bPar is Fig1b with one simpool job per (bandwidth, layer) point.
-func Fig1bPar(ctx context.Context, workers, scale int) ([]Fig1Row, error) {
+// case where the analytical model misses pipeline stalls. It runs one
+// simpool job per (bandwidth, layer) point.
+func Fig1b(ctx context.Context, workers, scale int) ([]Fig1Row, error) {
 	layers, err := RepresentativeLayers(scale)
 	if err != nil {
 		return nil, err
@@ -185,18 +176,13 @@ func fig1bPoint(bw int, rl RepLayer) (Fig1Row, error) {
 	return Fig1Row{Layer: rl.Tag, Config: fmt.Sprintf("bw=%d", bw), ST: st, AM: am}, nil
 }
 
+var fig1cSparsities = []float64{0, 0.3, 0.5, 0.7, 0.9}
+
 // Fig1c compares STONNE against the SIGMA analytical model at full
 // bandwidth while the weight sparsity sweeps 0% → 90% — the sparse case
 // where the distribution of zeros (invisible to a formula) drives the
-// cycle count.
-func Fig1c(scale int) ([]Fig1Row, error) {
-	return Fig1cPar(context.Background(), 1, scale)
-}
-
-var fig1cSparsities = []float64{0, 0.3, 0.5, 0.7, 0.9}
-
-// Fig1cPar is Fig1c with one simpool job per (sparsity, layer) point.
-func Fig1cPar(ctx context.Context, workers, scale int) ([]Fig1Row, error) {
+// cycle count. It runs one simpool job per (sparsity, layer) point.
+func Fig1c(ctx context.Context, workers, scale int) ([]Fig1Row, error) {
 	layers, err := RepresentativeLayers(scale)
 	if err != nil {
 		return nil, err

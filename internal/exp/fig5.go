@@ -48,13 +48,6 @@ func fig5Arches() []config.Hardware {
 	}
 }
 
-// Fig5 runs the complete inference of the requested models (nil = all
-// seven of Table I) on the three architectures at the given spatial scale
-// and returns one row per (model, architecture).
-func Fig5(scale int, tags []string) ([]Fig5Row, error) {
-	return Fig5Par(context.Background(), 1, scale, tags)
-}
-
 // fig5Job is one simulation unit: one model on one architecture. Each job
 // rebuilds its model, weights and input from fixed seeds, so jobs share no
 // mutable state and any worker count produces identical rows.
@@ -63,10 +56,13 @@ type fig5Job struct {
 	hw  config.Hardware
 }
 
-// Fig5Par is Fig5 fanned over a simpool: one job per (model, architecture),
-// results in the serial row order regardless of completion order.
-// workers <= 0 uses GOMAXPROCS; workers == 1 is exactly the serial loop.
-func Fig5Par(ctx context.Context, workers, scale int, tags []string) ([]Fig5Row, error) {
+// Fig5 runs the complete inference of the requested models (nil = all
+// seven of Table I) on the three architectures at the given spatial scale
+// and returns one row per (model, architecture). It fans one simpool job
+// per (model, architecture) and returns the rows in that order regardless
+// of completion order. workers <= 0 uses GOMAXPROCS; workers == 1 runs
+// the jobs serially.
+func Fig5(ctx context.Context, workers, scale int, tags []string) ([]Fig5Row, error) {
 	if tags == nil {
 		tags = []string{"M", "S", "A", "R", "V", "S-M", "B"}
 	}

@@ -26,19 +26,14 @@ type Fig7bRow struct {
 	Sizes []int
 }
 
-// Fig7 computes both panels at the given scale and the Table I sparsity
-// ratios, over a 256-switch fabric.
-func Fig7(scale int) ([]Fig7aRow, []Fig7bRow, error) {
-	return Fig7Par(context.Background(), 1, scale)
-}
-
 type fig7Pair struct {
 	a Fig7aRow
 	b Fig7bRow
 }
 
-// Fig7Par is Fig7 with one simpool job per model.
-func Fig7Par(ctx context.Context, workers, scale int) ([]Fig7aRow, []Fig7bRow, error) {
+// Fig7 computes both panels at the given scale and the Table I sparsity
+// ratios, over a 256-switch fabric, with one simpool job per model.
+func Fig7(ctx context.Context, workers, scale int) ([]Fig7aRow, []Fig7bRow, error) {
 	models := dnn.AllModels()
 	pairs, err := simpool.Map(ctx, workers, models, func(_ context.Context, _ int, full *dnn.Model) (fig7Pair, error) {
 		return fig7Model(full, scale)

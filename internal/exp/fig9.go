@@ -28,21 +28,16 @@ type Fig9Row struct {
 	NormEnergy  float64
 }
 
-// Fig9 runs the seven models under NS, RDM and LFF on the use-case-3
-// system (256 multipliers, 128 elements/cycle bandwidth).
-func Fig9(scale int, tags []string) ([]Fig9Row, error) {
-	return Fig9Par(context.Background(), 1, scale, tags)
-}
-
 type fig9Job struct {
 	tag string
 	pol sched.Policy
 }
 
-// Fig9Par is Fig9 with one simpool job per (model, policy) run; the
-// NS normalization is a serial post-pass over the ordered rows, exactly
-// the arithmetic of the serial loop.
-func Fig9Par(ctx context.Context, workers, scale int, tags []string) ([]Fig9Row, error) {
+// Fig9 runs the seven models under NS, RDM and LFF on the use-case-3
+// system (256 multipliers, 128 elements/cycle bandwidth), with one simpool
+// job per (model, policy) run. The NS normalization is a serial post-pass
+// over the ordered rows, so the worker count never changes the arithmetic.
+func Fig9(ctx context.Context, workers, scale int, tags []string) ([]Fig9Row, error) {
 	if tags == nil {
 		tags = []string{"M", "S", "A", "R", "V", "S-M", "B"}
 	}
@@ -113,14 +108,9 @@ type Fig9cRow struct {
 // Fig9c runs every offloaded Resnets-50 layer under NS and LFF and returns
 // the rows sorted by sensitivity (most-improved first). The paper shows 14
 // representative layers spanning its low/medium/high sensitivity classes;
-// callers slice the extremes.
-func Fig9c(scale int) ([]Fig9cRow, error) {
-	return Fig9cPar(context.Background(), 1, scale)
-}
-
-// Fig9cPar is Fig9c with the NS and LFF full-model runs as two simpool
-// jobs (each rebuilds its own model and weights).
-func Fig9cPar(ctx context.Context, workers, scale int) ([]Fig9cRow, error) {
+// callers slice the extremes. The NS and LFF full-model runs are two
+// simpool jobs (each rebuilds its own model and weights).
+func Fig9c(ctx context.Context, workers, scale int) ([]Fig9cRow, error) {
 	mrs, err := simpool.Map(ctx, workers, []sched.Policy{sched.NS, sched.LFF},
 		func(_ context.Context, _ int, pol sched.Policy) (*stonne.ModelRun, error) {
 			hw := archHW("sigma", 256, 128)

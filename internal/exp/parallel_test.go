@@ -18,12 +18,12 @@ func TestFig5SerialParallelEquivalence(t *testing.T) {
 	}
 	ctx := context.Background()
 	tags := []string{"M", "S"} // two models × three arches = six jobs
-	serial, err := Fig5Par(ctx, 1, 2*testScale, tags)
+	serial, err := Fig5(ctx, 1, 2*testScale, tags)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{4, 0} {
-		par, err := Fig5Par(ctx, workers, 2*testScale, tags)
+		par, err := Fig5(ctx, workers, 2*testScale, tags)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -65,11 +65,11 @@ func TestFig5SerialDeterminism(t *testing.T) {
 	}
 	ctx := context.Background()
 	tags := []string{"S"}
-	a, err := Fig5Par(ctx, 1, 2*testScale, tags)
+	a, err := Fig5(ctx, 1, 2*testScale, tags)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Fig5Par(ctx, 1, 2*testScale, tags)
+	b, err := Fig5(ctx, 1, 2*testScale, tags)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -40,16 +40,12 @@ type stallJob struct {
 	rl   RepLayer
 }
 
-// StallBreakdown runs the stall-attribution sweep serially.
-func StallBreakdown(scale int) ([]StallRow, error) {
-	return StallBreakdownPar(context.Background(), 1, scale)
-}
-
-// StallBreakdownPar sweeps a 128-multiplier MAERI configuration across
+// StallBreakdown sweeps a 128-multiplier MAERI configuration across
 // shrinking Global Buffer bandwidth (128 → 64 → 32 elements/cycle) and a
 // 16×16 TPU as the rigid reference, tracing every run and returning the
-// per-tier cycle breakdowns. One simpool job per point.
-func StallBreakdownPar(ctx context.Context, workers, scale int) ([]StallRow, error) {
+// per-tier cycle breakdowns. One simpool job per point; workers == 1 runs
+// the sweep serially.
+func StallBreakdown(ctx context.Context, workers, scale int) ([]StallRow, error) {
 	layers, err := RepresentativeLayers(scale)
 	if err != nil {
 		return nil, err

@@ -8,7 +8,7 @@ import (
 )
 
 func TestStallBreakdownSweep(t *testing.T) {
-	rows, err := StallBreakdownPar(context.Background(), 0, testScale)
+	rows, err := StallBreakdown(context.Background(), 0, testScale)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -18,15 +18,10 @@ type TableVResult struct {
 	ErrOrig float64 // (got-original STONNE)/original
 }
 
-// TableVRun executes the eleven validation microbenchmarks.
-func TableVRun() ([]TableVResult, float64, error) {
-	return TableVRunPar(context.Background(), 1)
-}
-
-// TableVRunPar fans the validation microbenchmarks over a simpool — each
-// row is a self-contained engine run — and computes the error summary as a
-// serial post-pass in row order.
-func TableVRunPar(ctx context.Context, workers int) ([]TableVResult, float64, error) {
+// TableVRun executes the eleven validation microbenchmarks, fanned over a
+// simpool — each row is a self-contained engine run — and computes the
+// error summary as a serial post-pass in row order.
+func TableVRun(ctx context.Context, workers int) ([]TableVResult, float64, error) {
 	rows := engine.TableV()
 	runs, err := simpool.Map(ctx, workers, rows, func(_ context.Context, _ int, row engine.TableVRow) (*stats.Run, error) {
 		return engine.RunTableVRow(row)

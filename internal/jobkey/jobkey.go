@@ -53,13 +53,14 @@ type Contract struct {
 
 // Chip is the multi-core composition part of a job: how many cores, the
 // placement policy, and the shared-DRAM shape — the placement/banks
-// component of the cache key for chip runs.
+// component of the cache key for chip runs. The JSON tags are its wire
+// spelling in a service request; the canonical encoding ignores them.
 type Chip struct {
-	Cores     int
-	Placement string
-	Banks     int
-	LinkGBs   float64
-	Streams   int
+	Cores     int     `json:"cores,omitempty"`
+	Placement string  `json:"placement,omitempty"`
+	Banks     int     `json:"banks,omitempty"`
+	LinkGBs   float64 `json:"link_gbs,omitempty"`
+	Streams   int     `json:"streams,omitempty"`
 }
 
 // Operation names a Job accepts.
@@ -88,8 +89,9 @@ type Job struct {
 	M, N, K int
 	// Conv is the convolution shape (OpConv only).
 	Conv tensor.ConvShape
-	// Sparsity and Policy parameterize OpSpMM: the fraction of zeros pruned
-	// into the stationary operand and the filter-scheduling policy name.
+	// Sparsity parameterizes OpSpMM: the fraction of zeros pruned into the
+	// stationary operand. Policy is the filter-scheduling policy name of
+	// OpSpMM and of OpModel, whose sparse layers SIGMA schedules with it.
 	Sparsity float64
 	Policy   string
 	// Tile, when non-nil, is an explicit dense-controller tile overriding
@@ -128,15 +130,17 @@ func (j Job) Normalize() Job {
 	// already excluded from the encoding by their json:"-" tags.
 	j.HW.DisableFastForward = false
 
-	switch j.Op {
-	case OpSpMM:
+	if j.Op == OpSpMM || j.Op == OpModel {
 		j.Policy = strings.ToUpper(strings.TrimSpace(j.Policy))
 		if j.Policy == "" {
 			j.Policy = "NS"
 		}
-	default:
+	} else {
 		// Scheduling policy only steers the sparse controller.
-		j.Sparsity, j.Policy = 0, ""
+		j.Policy = ""
+	}
+	if j.Op != OpSpMM {
+		j.Sparsity = 0
 	}
 	if j.Op != OpConv {
 		j.Conv = tensor.ConvShape{}

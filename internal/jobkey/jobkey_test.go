@@ -117,6 +117,15 @@ func TestGoldenVectors(t *testing.T) {
 	v.Arch = "sigma"
 	diffs["arch name"] = v
 
+	// SIGMA schedules a model's sparse layers with the job's policy, so two
+	// model jobs that differ only in policy must not share a key.
+	for _, pol := range []string{"NS", "LFF"} {
+		v = gemmJob()
+		v.Arch, v.HW = "sigma", config.SIGMALike(64, 64)
+		v.Op, v.Model, v.Scale, v.Policy = jobkey.OpModel, "S", 16, pol
+		diffs["model policy "+pol] = v
+	}
+
 	seen := map[jobkey.Key]string{refKey: "reference"}
 	for name, d := range diffs {
 		k, err := d.Hash()

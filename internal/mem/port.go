@@ -3,42 +3,14 @@ package mem
 import "repro/internal/config"
 
 // Port is the memory interface an engine composition drives off-chip
-// memory through — the exact method set DRAM has always exposed, extracted
-// so a run can be pointed at either a private DRAM model (the bare-kernel
-// path) or a per-core port into a chip-shared memory system (sim.Chip)
-// without any call-site changes. The semantics every implementation must
-// honour:
-//
-//   - FetchCycles(n) returns the cycles to stream n elements and accounts
-//     the reads/row activations — a blocking fetch, used for the initial
-//     working-set fill.
-//   - BeginPrefetch(now, n) starts a double-buffered background transfer
-//     at cycle `now`; StallCycles(now) later reports how long the consumer
-//     must still wait for it (counting one stall event per probe).
-//   - StallLookahead(now) is the side-effect-free fast-forward probe:
-//     how many whole cycles from `now` the in-flight transfer still blocks
-//     the consumer. Its bound must be exact — the kernel skips that many
-//     cycles in one jump — which every implementation guarantees by fixing
-//     a transfer's completion time at issue, never retroactively.
-//   - AdvanceStall(n) replays the bookkeeping of n skipped stalled cycles.
-//   - WriteBack(n) accounts n output elements leaving for memory.
-type Port interface {
-	FetchCycles(n int) float64
-	BeginPrefetch(now float64, n int)
-	StallCycles(now float64) float64
-	StallLookahead(now uint64) uint64
-	AdvanceStall(n uint64)
-	WriteBack(n int)
-}
+// memory through: config.MemPort, declared below mem in the package graph
+// so a hardware description can carry a port source.
+type Port = config.MemPort
 
 // The private DRAM model and the shared-chip core port are the two
-// implementations; config.MemPort is the same interface restated below mem
-// in the package graph. The conversions pin all three method sets
-// identical at compile time.
+// implementations.
 var (
 	_ Port                 = (*DRAM)(nil)
 	_ Port                 = (*CorePort)(nil)
-	_ Port                 = config.MemPort(nil)
-	_ config.MemPort       = Port(nil)
 	_ config.MemPortSource = (*CorePort)(nil)
 )

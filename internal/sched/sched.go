@@ -6,7 +6,11 @@
 // fabric size.
 package sched
 
-import "sort"
+import (
+	"fmt"
+	"sort"
+	"strings"
+)
 
 // Policy names a filter-scheduling strategy.
 type Policy int
@@ -32,6 +36,21 @@ func (p Policy) String() string {
 		return "LFF"
 	default:
 		return "Policy(?)"
+	}
+}
+
+// ParsePolicy is the inverse of Policy.String: it accepts a policy name in
+// any case, with surrounding space ignored, and "" as NS.
+func ParsePolicy(s string) (Policy, error) {
+	switch strings.ToUpper(strings.TrimSpace(s)) {
+	case "", "NS":
+		return NS, nil
+	case "RDM":
+		return RDM, nil
+	case "LFF":
+		return LFF, nil
+	default:
+		return NS, fmt.Errorf("unknown policy %q (want NS, RDM or LFF)", s)
 	}
 }
 

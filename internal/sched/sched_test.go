@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -243,5 +244,26 @@ func TestDegenerateCapacityAndInputs(t *testing.T) {
 func TestPolicyString(t *testing.T) {
 	if NS.String() != "NS" || RDM.String() != "RDM" || LFF.String() != "LFF" {
 		t.Error("policy strings wrong")
+	}
+}
+
+// TestParsePolicy pins ParsePolicy as the inverse of String, in any case,
+// with "" meaning NS and junk rejected.
+func TestParsePolicy(t *testing.T) {
+	for _, pol := range []Policy{NS, RDM, LFF} {
+		for _, spelling := range []string{pol.String(), strings.ToLower(pol.String()), " " + pol.String() + " "} {
+			got, err := ParsePolicy(spelling)
+			if err != nil || got != pol {
+				t.Errorf("ParsePolicy(%q) = %v, %v; want %v", spelling, got, err, pol)
+			}
+		}
+	}
+	if got, err := ParsePolicy(""); err != nil || got != NS {
+		t.Errorf(`ParsePolicy("") = %v, %v; want NS`, got, err)
+	}
+	for _, junk := range []string{"FIFO", "L F F", "Policy(?)", "0"} {
+		if _, err := ParsePolicy(junk); err == nil {
+			t.Errorf("ParsePolicy(%q) accepted junk", junk)
+		}
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"repro/internal/dnn"
 	"repro/internal/jobkey"
 	"repro/internal/mapper"
+	"repro/internal/sched"
 	"repro/internal/sim"
 	"repro/internal/simpool"
 	"repro/internal/stats"
@@ -54,13 +55,7 @@ type Request struct {
 }
 
 // ChipRequest is the multi-core composition of a model job.
-type ChipRequest struct {
-	Cores     int     `json:"cores,omitempty"`
-	Placement string  `json:"placement,omitempty"`
-	Banks     int     `json:"banks,omitempty"`
-	LinkGBs   float64 `json:"link_gbs,omitempty"`
-	Streams   int     `json:"streams,omitempty"`
-}
+type ChipRequest = jobkey.Chip
 
 // Service-side bounds: a single request may not queue unbounded work.
 const (
@@ -74,25 +69,38 @@ const (
 	defaultBW = 16
 )
 
-// job is a resolved, validated, content-addressed request.
-type job struct {
-	key   jobkey.Key
-	jk    jobkey.Job
-	req   Request
-	hw    config.Hardware
-	arch  string
-	pol   stonne.SchedPolicy
-	model *stonne.Model // resolved, scaled model (model op only)
+// Job is a resolved, validated, content-addressed request. It runs only
+// from its normalized jobkey.Job, so a field that Normalize erases can
+// never change a result cached under the job's key.
+type Job struct {
+	key  jobkey.Key
+	spec jobkey.Job      // normalized; every run-time value is read from it
+	hw   config.Hardware // spec.HW plus the result-neutral fast-forward knob
+	pol  sched.Policy    // spec.Policy, parsed
+	// model is spec.Model scaled by spec.Scale (model op only).
+	model *stonne.Model
+	// progress streams NDJSON progress; it never affects the result.
+	progress bool
 }
 
-// resolve turns a wire request into a runnable job: presets and defaults
-// applied, operands validated, and the content address computed from the
-// fully resolved values (so every spelling of the same job lands on the
-// same key).
-func resolve(req Request) (*job, error) {
-	j := &job{req: req}
-	j.req.Op = strings.ToLower(strings.TrimSpace(req.Op))
+// Key is the job's content address.
+func (j *Job) Key() jobkey.Key { return j.key }
 
+// Seeds lists the per-run data seeds of a gemm/spmm/conv job: one per
+// batch element, counting up from the job's seed.
+func (j *Job) Seeds() []uint64 {
+	seeds := make([]uint64, j.spec.Batch)
+	for i := range seeds {
+		seeds[i] = j.spec.Seed + uint64(i)
+	}
+	return seeds
+}
+
+// Resolve turns a wire request into a runnable job: presets applied,
+// defaults filled in by jobkey.Normalize, operands validated, and the
+// content address computed from the normalized values (so every spelling
+// of the same job lands on the same key).
+func Resolve(req Request) (*Job, error) {
 	var hw config.Hardware
 	switch {
 	case req.HW != nil:
@@ -126,112 +134,69 @@ func resolve(req Request) (*job, error) {
 	if err != nil {
 		return nil, err
 	}
-	j.hw, j.arch = hw, arch.Name
 
 	if req.Batch < 0 || req.Batch > maxBatch {
 		return nil, fmt.Errorf("batch %d out of range [0,%d]", req.Batch, maxBatch)
 	}
 
-	switch j.req.Op {
+	jk := jobkey.Job{
+		Arch: arch.Name, Contract: jobkey.Contract(arch.Contract), HW: hw,
+		Op: req.Op, M: req.M, N: req.N, K: req.K,
+		Sparsity: req.Sparsity, Policy: req.Policy, Tile: req.Tile,
+		Seed: req.Seed, Batch: req.Batch,
+		Model: req.Model, Scale: req.Scale, Chip: req.Chip,
+	}
+	if req.Conv != nil {
+		jk.Conv = *req.Conv
+	}
+	j := &Job{spec: jk.Normalize(), hw: hw, progress: req.Progress}
+	s := &j.spec
+	switch s.Op {
 	case jobkey.OpGEMM, jobkey.OpSpMM:
-		m, n, k := req.M, req.N, req.K
-		if m <= 0 || n <= 0 || k <= 0 {
-			return nil, fmt.Errorf("%s needs positive m, n, k (got %d, %d, %d)", j.req.Op, m, n, k)
+		if s.M <= 0 || s.N <= 0 || s.K <= 0 {
+			return nil, fmt.Errorf("%s needs positive m, n, k (got %d, %d, %d)", s.Op, s.M, s.N, s.K)
 		}
-		if j.req.Op == jobkey.OpSpMM {
-			if req.Sparsity < 0 || req.Sparsity > 1 {
-				return nil, fmt.Errorf("sparsity %g out of [0,1]", req.Sparsity)
-			}
-			if j.pol, err = parsePolicy(req.Policy); err != nil {
-				return nil, err
-			}
+		if s.Sparsity < 0 || s.Sparsity > 1 {
+			return nil, fmt.Errorf("sparsity %g out of [0,1]", s.Sparsity)
 		}
 	case jobkey.OpConv:
 		if req.Conv == nil {
 			return nil, fmt.Errorf("conv needs a conv shape")
 		}
-		if err := req.Conv.Validate(); err != nil {
+		if err := s.Conv.Validate(); err != nil {
 			return nil, err
 		}
-		if req.Tile != nil {
-			if err := req.Tile.Validate(*req.Conv); err != nil {
+		if s.Tile != nil {
+			if err := s.Tile.Validate(s.Conv); err != nil {
 				return nil, err
 			}
 		}
 	case jobkey.OpModel:
-		full, merr := stonne.ModelByShort(req.Model)
+		full, merr := stonne.ModelByShort(s.Model)
 		if merr != nil {
 			return nil, merr
 		}
-		scale := req.Scale
-		if scale < 1 {
-			scale = 1
-		}
-		if j.model, err = stonne.ScaleSpatial(full, scale); err != nil {
+		if j.model, err = stonne.ScaleSpatial(full, s.Scale); err != nil {
 			return nil, err
 		}
-		if j.pol, err = parsePolicy(req.Policy); err != nil {
-			return nil, err
+		if s.Chip.Cores > maxCores {
+			return nil, fmt.Errorf("cores %d exceeds the limit %d", s.Chip.Cores, maxCores)
 		}
-		if req.Chip.Cores > maxCores {
-			return nil, fmt.Errorf("cores %d exceeds the limit %d", req.Chip.Cores, maxCores)
-		}
-		if req.Chip.Streams > maxStreams {
-			return nil, fmt.Errorf("streams %d exceeds the limit %d", req.Chip.Streams, maxStreams)
+		if s.Chip.Streams > maxStreams {
+			return nil, fmt.Errorf("streams %d exceeds the limit %d", s.Chip.Streams, maxStreams)
 		}
 	case "":
 		return nil, fmt.Errorf("request has no op")
 	default:
-		return nil, fmt.Errorf("unknown op %q (want gemm, conv, spmm or model)", j.req.Op)
+		return nil, fmt.Errorf("unknown op %q (want gemm, conv, spmm or model)", s.Op)
 	}
-
-	j.jk = jobkey.Job{
-		Arch: arch.Name,
-		Contract: jobkey.Contract{
-			ExactSum:           arch.Contract.ExactSum,
-			RelTol:             arch.Contract.RelTol,
-			PostActivationConv: arch.Contract.PostActivationConv,
-		},
-		HW:       hw,
-		Op:       j.req.Op,
-		M:        req.M,
-		N:        req.N,
-		K:        req.K,
-		Sparsity: req.Sparsity,
-		Policy:   req.Policy,
-		Tile:     req.Tile,
-		Seed:     req.Seed,
-		Batch:    req.Batch,
-		Model:    req.Model,
-		Scale:    req.Scale,
-		Chip: jobkey.Chip{
-			Cores:     req.Chip.Cores,
-			Placement: req.Chip.Placement,
-			Banks:     req.Chip.Banks,
-			LinkGBs:   req.Chip.LinkGBs,
-			Streams:   req.Chip.Streams,
-		},
+	if j.pol, err = sched.ParsePolicy(s.Policy); err != nil {
+		return nil, err
 	}
-	if req.Conv != nil {
-		j.jk.Conv = *req.Conv
-	}
-	if j.key, err = j.jk.Hash(); err != nil {
+	if j.key, err = s.Hash(); err != nil {
 		return nil, err
 	}
 	return j, nil
-}
-
-func parsePolicy(s string) (stonne.SchedPolicy, error) {
-	switch strings.ToUpper(strings.TrimSpace(s)) {
-	case "", "NS":
-		return stonne.NoScheduling, nil
-	case "RDM":
-		return stonne.RandomScheduling, nil
-	case "LFF":
-		return stonne.LargestFilterFirst, nil
-	default:
-		return stonne.NoScheduling, fmt.Errorf("unknown policy %q (want NS, RDM or LFF)", s)
-	}
 }
 
 // Result is the cached payload of one job: everything deterministic about
@@ -265,10 +230,10 @@ type progressFn func(label string, cycles uint64, outputs int, occupancy float64
 // execute runs the resolved job to completion. batchWorkers bounds the
 // simpool fan-out of one batched request; progress, when non-nil, receives
 // periodic samples.
-func execute(ctx context.Context, j *job, batchWorkers int, progress progressFn) (*Result, error) {
-	res := &Result{Key: j.key, Op: j.req.Op, Arch: j.arch}
+func execute(ctx context.Context, j *Job, batchWorkers int, progress progressFn) (*Result, error) {
+	res := &Result{Key: j.key, Op: j.spec.Op, Arch: j.spec.Arch}
 	var err error
-	if j.req.Op == jobkey.OpModel {
+	if j.spec.Op == jobkey.OpModel {
 		err = executeModel(ctx, j, res, progress)
 	} else {
 		err = executeOp(ctx, j, res, batchWorkers, progress)
@@ -285,33 +250,27 @@ func execute(ctx context.Context, j *job, batchWorkers int, progress progressFn)
 	return res, nil
 }
 
-// executeOp fans a gemm/spmm/conv batch out over simpool, one independent
-// instance per seed — the exact per-seed tensor derivation of the stonne
-// CLI, so a service job and a CLI run of the same spelling share a result.
-func executeOp(ctx context.Context, j *job, res *Result, batchWorkers int, progress progressFn) error {
-	batch := j.jk.Normalize().Batch
-	seeds := make([]uint64, batch)
-	for i := range seeds {
-		seeds[i] = j.req.Seed + uint64(i)
-	}
+// executeOp fans a gemm/spmm/conv batch out over simpool, one RunSeed per
+// seed.
+func executeOp(ctx context.Context, j *Job, res *Result, batchWorkers int, progress progressFn) error {
+	seeds := j.Seeds()
 	type runOut struct {
 		run *stats.Run
 		sum float64
 	}
 	outs, err := simpool.Map(ctx, batchWorkers, seeds,
 		func(_ context.Context, i int, sd uint64) (runOut, error) {
-			hw := j.hw
+			var tc *trace.Config
 			if progress != nil {
-				label := fmt.Sprintf("%.8s/run%d", j.key, i)
-				hw.Trace = &trace.Config{
-					Label:         label,
+				tc = &trace.Config{
+					Label:         fmt.Sprintf("%.8s/run%d", j.key, i),
 					ProgressEvery: 4096,
 					OnProgress: func(p trace.Progress) {
 						progress(p.Label, p.Cycles, p.Outputs, p.Occupancy, p.Skipped)
 					},
 				}
 			}
-			out, run, rerr := runOne(hw, j, sd)
+			out, run, rerr := j.RunSeed(sd, tc, false)
 			if rerr != nil {
 				return runOut{}, rerr
 			}
@@ -328,11 +287,20 @@ func executeOp(ctx context.Context, j *job, res *Result, batchWorkers int, progr
 	return nil
 }
 
-// runOne simulates a single gemm/spmm/conv with operands derived from seed.
-func runOne(hw config.Hardware, j *job, seed uint64) (*stonne.Tensor, *stats.Run, error) {
+// RunSeed simulates one gemm/spmm/conv of the job on a fresh instance,
+// with operands derived from seed. It is the single operand synthesis of
+// the stonne CLI and the service, so both produce the same run for a job.
+// tc, when non-nil, traces the run; selfCheck verifies the output against
+// the CPU reference.
+func (j *Job) RunSeed(seed uint64, tc *trace.Config, selfCheck bool) (*stonne.Tensor, *stats.Run, error) {
+	hw := j.hw
+	hw.Trace = tc
 	inst, err := stonne.CreateInstance(hw)
 	if err != nil {
 		return nil, nil, err
+	}
+	if selfCheck {
+		inst.EnableSelfCheck()
 	}
 	rng := dnn.NewRNG(seed)
 	randTensor := func(shape ...int) *stonne.Tensor {
@@ -342,22 +310,23 @@ func runOne(hw config.Hardware, j *job, seed uint64) (*stonne.Tensor, *stats.Run
 		}
 		return t
 	}
-	switch j.req.Op {
+	s := &j.spec
+	switch s.Op {
 	case jobkey.OpGEMM:
 		inst.ConfigureDMM()
-		inst.ConfigureData(randTensor(j.req.M, j.req.K), randTensor(j.req.K, j.req.N))
+		inst.ConfigureData(randTensor(s.M, s.K), randTensor(s.K, s.N))
 	case jobkey.OpSpMM:
 		inst.ConfigureSpMM(j.pol)
-		A := randTensor(j.req.M, j.req.K)
-		pruneTo(A, j.req.Sparsity)
-		inst.ConfigureData(A, randTensor(j.req.K, j.req.N))
+		A := randTensor(s.M, s.K)
+		pruneTo(A, s.Sparsity)
+		inst.ConfigureData(A, randTensor(s.K, s.N))
 	case jobkey.OpConv:
-		cs := *j.req.Conv
+		cs := s.Conv
 		if err := inst.ConfigureCONV(cs); err != nil {
 			return nil, nil, err
 		}
-		if j.req.Tile != nil {
-			inst.ConfigureTile(*j.req.Tile)
+		if s.Tile != nil {
+			inst.ConfigureTile(*s.Tile)
 		}
 		w := randTensor(cs.K, cs.C/cs.G, cs.R, cs.S)
 		in := stonne.NewTensor(cs.N, cs.C, cs.X, cs.Y)
@@ -369,16 +338,14 @@ func runOne(hw config.Hardware, j *job, seed uint64) (*stonne.Tensor, *stats.Run
 			d[i] = float32(v)
 		}
 		inst.ConfigureData(w, in)
+	default:
+		return nil, nil, fmt.Errorf("a %s job has no single-operation run", s.Op)
 	}
-	out, run, err := inst.RunOperation()
-	if err != nil {
-		return nil, nil, err
-	}
-	return out, run, nil
+	return inst.RunOperation()
 }
 
-// pruneTo zeroes elements with the CLI's fixed pruning stream, keeping
-// service results byte-compatible with `stonne spmm` runs.
+// pruneTo zeroes elements with a fixed pruning stream, independent of the
+// operand seed.
 func pruneTo(t *stonne.Tensor, sparsity float64) {
 	d := t.Data()
 	rng := dnn.NewRNG(0x9981)
@@ -392,16 +359,16 @@ func pruneTo(t *stonne.Tensor, sparsity float64) {
 // executeModel runs a model job through the chip composition (a 1-core
 // chip is byte-identical to the flat model runner), with seeded weights
 // pruned to the model's Table I sparsity and one seeded input per stream.
-func executeModel(ctx context.Context, j *job, res *Result, progress progressFn) error {
+func executeModel(ctx context.Context, j *Job, res *Result, progress progressFn) error {
 	m := j.model
-	w := stonne.InitWeights(m, j.req.Seed)
+	w := stonne.InitWeights(m, j.spec.Seed)
 	if err := w.Prune(m.Sparsity); err != nil {
 		return err
 	}
-	chip := j.jk.Normalize().Chip
+	chip := j.spec.Chip
 	inputs := make([]*stonne.Tensor, chip.Streams)
 	for i := range inputs {
-		inputs[i] = stonne.RandomInput(m, j.req.Seed+1+uint64(i))
+		inputs[i] = stonne.RandomInput(m, j.spec.Seed+1+uint64(i))
 	}
 	copts := stonne.ChipOptions{
 		Cores:     chip.Cores,

@@ -47,8 +47,8 @@ func stubServer(t *testing.T, cfg Config) *Server {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.run = func(ctx context.Context, j *job, progress progressFn) (*Result, error) {
-		return &Result{Key: j.key, Op: j.req.Op, Arch: j.arch, TotalCycles: uint64(len(j.key))}, nil
+	s.run = func(ctx context.Context, j *Job, progress progressFn) (*Result, error) {
+		return &Result{Key: j.key, Op: j.spec.Op, Arch: j.spec.Arch, TotalCycles: uint64(len(j.key))}, nil
 	}
 	return s
 }
@@ -265,7 +265,7 @@ func TestReplayCountsRejections(t *testing.T) {
 	}
 	block := make(chan struct{})
 	t.Cleanup(func() { close(block) })
-	s.run = func(ctx context.Context, j *job, progress progressFn) (*Result, error) {
+	s.run = func(ctx context.Context, j *Job, progress progressFn) (*Result, error) {
 		select {
 		case <-block:
 		case <-ctx.Done():

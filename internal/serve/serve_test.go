@@ -154,13 +154,13 @@ func TestAdmissionControl(t *testing.T) {
 		t.Fatal(err)
 	}
 	release := make(chan struct{})
-	s.run = func(ctx context.Context, j *job, progress progressFn) (*Result, error) {
+	s.run = func(ctx context.Context, j *Job, progress progressFn) (*Result, error) {
 		select {
 		case <-release:
 		case <-ctx.Done():
 			return nil, ctx.Err()
 		}
-		return &Result{Key: j.key, Op: j.req.Op, Arch: j.arch}, nil
+		return &Result{Key: j.key, Op: j.spec.Op, Arch: j.spec.Arch}, nil
 	}
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(ts.Close)
@@ -208,12 +208,12 @@ func TestCoalescing(t *testing.T) {
 	release := make(chan struct{})
 	var runCount int
 	var mu sync.Mutex
-	s.run = func(ctx context.Context, j *job, progress progressFn) (*Result, error) {
+	s.run = func(ctx context.Context, j *Job, progress progressFn) (*Result, error) {
 		mu.Lock()
 		runCount++
 		mu.Unlock()
 		<-release
-		return &Result{Key: j.key, Op: j.req.Op, Arch: j.arch}, nil
+		return &Result{Key: j.key, Op: j.spec.Op, Arch: j.spec.Arch}, nil
 	}
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(ts.Close)
@@ -445,5 +445,53 @@ func TestEnvelopeTimingSplit(t *testing.T) {
 	}
 	if warm.SimMs > 0 || warm.QueueMs > 0 {
 		t.Errorf("warm hit reports timing %g/%g, want 0/0", warm.QueueMs, warm.SimMs)
+	}
+}
+
+// TestModelPolicyKeys pins the model-policy key: SIGMA schedules a model's
+// sparse layers with the job's policy, so NS, RDM and LFF are three jobs,
+// and a cached NS result is never served to an LFF request.
+func TestModelPolicyKeys(t *testing.T) {
+	const base = `{"op":"model","arch":"sigma","ms":64,"bw":64,"model":"S","scale":16,"seed":1`
+	keys := map[string]string{}
+	for _, pol := range []string{"NS", "RDM", "LFF"} {
+		var req Request
+		if err := json.Unmarshal([]byte(base+`,"policy":"`+pol+`"}`), &req); err != nil {
+			t.Fatal(err)
+		}
+		j, err := Resolve(req)
+		if err != nil {
+			t.Fatalf("%s: %v", pol, err)
+		}
+		if prev, dup := keys[string(j.Key())]; dup {
+			t.Errorf("policy %s shares its key with %s", pol, prev)
+		}
+		keys[string(j.Key())] = pol
+	}
+	if testing.Short() {
+		t.Skip("model simulation in -short mode")
+	}
+
+	_, ts := newTestServer(t, Config{Workers: 1})
+	var results [2]Result
+	for i, body := range []string{base + `,"policy":"NS"}`, base + `,"policy":"lff"}`} {
+		resp, raw := postJob(t, ts, body)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("status %d: %s", resp.StatusCode, raw)
+		}
+		var env Envelope
+		if err := json.Unmarshal(raw, &env); err != nil {
+			t.Fatal(err)
+		}
+		if env.Cached {
+			t.Fatalf("%s was served from the cache", body)
+		}
+		if err := json.Unmarshal(env.Result, &results[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if results[0].TotalCycles == results[1].TotalCycles {
+		t.Errorf("NS and LFF model runs both take %d cycles; the policy did not reach the run",
+			results[0].TotalCycles)
 	}
 }

@@ -72,7 +72,7 @@ type Server struct {
 
 	// run executes a resolved job; tests substitute it to exercise
 	// admission and coalescing without simulating.
-	run func(ctx context.Context, j *job, progress progressFn) (*Result, error)
+	run func(ctx context.Context, j *Job, progress progressFn) (*Result, error)
 }
 
 // New builds a server. It fails only when a configured cache directory
@@ -105,7 +105,7 @@ func New(cfg Config) (*Server, error) {
 		}
 		s.cache.SetDisk(disk)
 	}
-	s.run = func(ctx context.Context, j *job, progress progressFn) (*Result, error) {
+	s.run = func(ctx context.Context, j *Job, progress progressFn) (*Result, error) {
 		return execute(ctx, j, batchWorkers, progress)
 	}
 	return s, nil
@@ -164,7 +164,7 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusBadRequest, errorBody{err.Error()})
 		return
 	}
-	j, err := resolve(req)
+	j, err := Resolve(req)
 	if err != nil {
 		writeJSON(w, http.StatusBadRequest, errorBody{err.Error()})
 		return
@@ -235,7 +235,7 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 		s.mu.Lock()
 		s.failed++
 		s.mu.Unlock()
-		if j.req.Progress {
+		if j.progress {
 			// Progress lines may already be on the wire: the status is
 			// committed, so the error goes out as a final NDJSON line.
 			_ = json.NewEncoder(w).Encode(struct {
@@ -255,7 +255,7 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 		Cached: false, Key: j.key,
 		QueueMs: durMs(queueWait), SimMs: durMs(simTime), Result: body,
 	}
-	if j.req.Progress {
+	if j.progress {
 		_ = json.NewEncoder(w).Encode(struct {
 			Type string `json:"type"`
 			Envelope
@@ -270,7 +270,7 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 // waiting for the slot vs time simulating. When the request asked for
 // progress, samples stream to the response as NDJSON lines before the
 // final envelope (written by the caller).
-func (s *Server) execJob(ctx context.Context, j *job, w http.ResponseWriter) (body []byte, queueWait, simTime time.Duration, err error) {
+func (s *Server) execJob(ctx context.Context, j *Job, w http.ResponseWriter) (body []byte, queueWait, simTime time.Duration, err error) {
 	waitStart := time.Now()
 	select {
 	case s.exec <- struct{}{}:
@@ -280,7 +280,7 @@ func (s *Server) execJob(ctx context.Context, j *job, w http.ResponseWriter) (bo
 	}
 	queueWait = time.Since(waitStart)
 	var progress progressFn
-	if j.req.Progress {
+	if j.progress {
 		progress = s.streamProgress(w)
 	}
 	simStart := time.Now()

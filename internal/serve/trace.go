@@ -121,7 +121,7 @@ func (t *Trace) Expand(seed uint64) ([]ScheduledRequest, error) {
 	var sched []ScheduledRequest
 	add := func(scenario string, at time.Duration, job Request) error {
 		job.Progress = false
-		j, err := resolve(job)
+		j, err := Resolve(job)
 		if err != nil {
 			return fmt.Errorf("trace %q: scenario %q: %w", t.Name, scenario, err)
 		}

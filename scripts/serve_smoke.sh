@@ -3,9 +3,11 @@
 #
 # Builds stonned, starts it on an ephemeral local port, submits the same
 # job twice, asserts the second response is served from the result cache
-# ("cached":true), then SIGTERMs the daemon and asserts a clean drain
-# (exit code 0). Everything a deploy needs to trust: the binary starts,
-# serves, caches, and shuts down gracefully.
+# ("cached":true), runs the same job through the stonne CLI and asserts
+# its -json run equals the daemon's first result run, then SIGTERMs the
+# daemon and asserts a clean drain (exit code 0). Everything a deploy
+# needs to trust: the binary starts, serves, caches, agrees with the CLI,
+# and shuts down gracefully. Needs curl and jq.
 set -eu
 
 GO=${GO:-go}
@@ -24,6 +26,7 @@ trap cleanup EXIT
 JOB='{"op":"gemm","arch":"maeri","ms":32,"bw":16,"m":16,"n":16,"k":32,"seed":7}'
 
 $GO build -o "$TMP/stonned" ./cmd/stonned
+$GO build -o "$TMP/stonne" ./cmd/stonne
 "$TMP/stonned" -addr "$ADDR" &
 PID=$!
 
@@ -60,6 +63,18 @@ cmp -s "$TMP/cold.result" "$TMP/warm.result" || {
     exit 1
 }
 
+# The CLI and the daemon share one job path: the same job run by the CLI
+# must produce the daemon's run, field for field.
+"$TMP/stonne" gemm -arch maeri -ms 32 -bw 16 -M 16 -N 16 -K 32 -seed 7 \
+    -json "$TMP/cli.json" >/dev/null
+jq -S '.result.runs[0]' "$TMP/cold.json" >"$TMP/daemon.run"
+jq -S . "$TMP/cli.json" >"$TMP/cli.run"
+cmp -s "$TMP/daemon.run" "$TMP/cli.run" || {
+    echo "serve-smoke: stonne -json run differs from the daemon's:" >&2
+    diff "$TMP/daemon.run" "$TMP/cli.run" | head -20 >&2
+    exit 1
+}
+
 # Graceful shutdown: SIGTERM must drain and exit 0.
 kill -TERM "$PID"
 if wait "$PID"; then
@@ -72,4 +87,4 @@ if [ "$status" -ne 0 ]; then
     echo "serve-smoke: stonned exited $status on SIGTERM" >&2
     exit 1
 fi
-echo "serve-smoke: ok (cold run, cached repeat, byte-identical, clean shutdown)"
+echo "serve-smoke: ok (cold run, cached repeat, byte-identical, CLI agrees, clean shutdown)"
